@@ -44,8 +44,6 @@ from .fields import (
     ShapeError,
     VectorField,
     add_sections,
-    differentiate,
-    jacobian,
     lie_bracket,
     scale_section,
 )

@@ -1,25 +1,24 @@
-"""Hot numeric kernels: fixed-step RK4 for the linear lift system.
+"""Hot numeric kernel: fixed-step RK4 for the linear lift system.
 
 The coefficient matrices are pre-sampled on a half-step grid, so the stepper
-is pure array arithmetic and can be JIT-compiled.  Set ``GEOCONN_NUMBA=0`` to
-force the pure-numpy path; without numba installed the fallback is used
-automatically.
+is pure numpy array arithmetic.  The system is linear, so integrating the
+identity matrix once yields the transport matrix at every node, and the lift
+through any initial fiber vector follows by one matrix product.
 """
-
-import os
 
 import numpy as np
 
 
-def rk4_linear_numpy(amats, h, y0):
+def rk4_linear(amats, h, y0):
     """Integrate ``y' = A(t) y`` with classical RK4.
 
-    ``amats`` holds A at ``t0, t0+h/2, t0+h, ...`` (shape ``(2*steps+1, l, l)``)
-    and the return value stacks y at the full-step nodes.
+    ``amats`` holds A at ``t0, t0+h/2, t0+h, ...`` (shape ``(2*steps+1, l, l)``).
+    ``y0`` is a fiber vector of shape ``(l,)`` or a stack of columns of shape
+    ``(l, c)``; the return value stacks y at the full-step nodes, with shape
+    ``(steps+1,) + y0.shape``.
     """
     steps = (amats.shape[0] - 1) // 2
-    size = y0.shape[0]
-    out = np.empty((steps + 1, size))
+    out = np.empty((steps + 1,) + y0.shape)
     y = y0.copy()
     out[0] = y
     for i in range(steps):
@@ -33,25 +32,3 @@ def rk4_linear_numpy(amats, h, y0):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
     return out
-
-
-def _numba_enabled() -> bool:
-    return os.environ.get("GEOCONN_NUMBA", "1").lower() not in ("0", "false", "no")
-
-
-HAVE_NUMBA = False
-rk4_linear_jit = None
-if _numba_enabled():
-    try:
-        from numba import njit
-
-        rk4_linear_jit = njit(cache=True)(rk4_linear_numpy)
-        HAVE_NUMBA = True
-    except ImportError:
-        pass
-
-
-def rk4_linear(amats, h, y0):
-    if HAVE_NUMBA:
-        return rk4_linear_jit(amats, h, y0)
-    return rk4_linear_numpy(amats, h, y0)

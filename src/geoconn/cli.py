@@ -20,7 +20,7 @@ from . import checks as checkmod
 from . import config as configmod
 from .bundle import AdmissibilityError
 from .connection import LinearConnection
-from .defaults import ANCHOR_HOM_TOL, TRANSPORT_STEPS_PER_UNIT
+from .defaults import TRANSPORT_STEPS_PER_UNIT
 from .fields import GeoconnError
 from .prelie import anchor_hom_residual, curvature_components, torsion_components
 from .derivative import nabla
@@ -252,7 +252,7 @@ def cmd_describe(args) -> int:
     }
     if cfg.structure is not None:
         payload["anchor_hom_residual_at_center"] = anchor_hom_residual(cfg.structure, center)
-        payload["anchor_hom_tol"] = ANCHOR_HOM_TOL
+        payload["anchor_hom_tol"] = cfg.tolerances["anchor_hom_tol"]
     payload.update(_meta(cfg))
     _emit(_json_report(payload, args), args.out)
     return 0

@@ -243,11 +243,6 @@ class ScalarField:
         return worst
 
 
-def differentiate(f: ScalarField, point, axis: int) -> float:
-    """Partial derivative of ``f`` along ``axis`` at ``point``."""
-    return f.partial(point, axis)
-
-
 def _common_domain(fields) -> CoordDomain:
     domains = {id(f.domain): f.domain for f in fields}
     vals = list(domains.values())
@@ -374,11 +369,6 @@ def add_sections(a: VectorField, b: VectorField) -> VectorField:
         for u, v in zip(a.components, b.components)
     ]
     return VectorField(comps)
-
-
-def jacobian(field: VectorField, point) -> np.ndarray:
-    """Jacobian matrix, entry ``(i, j)`` the j-partial of component i."""
-    return field.jacobian(point)
 
 
 def lie_bracket(x_field: VectorField, y_field: VectorField, point) -> np.ndarray:

@@ -2,14 +2,13 @@
 
 The lift of an admissible curve solves a linear first-order system for the
 fiber coordinates, with the base taken from the curve itself.  Coefficient
-matrices are pre-sampled on a half-step grid and handed to the RK4 kernel;
-the transport operator is assembled by lifting the fiber basis vectors.
+matrices are pre-sampled on a half-step grid and handed to the RK4 kernel,
+which integrates the transport matrix from the identity in one pass; the lift
+through any initial fiber vector is that matrix applied to it, node by node.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,13 +18,6 @@ from .bundle import AdmissibleCurve
 from .connection import LinearConnection
 from .defaults import BASE_CONTINUITY_TOL, TRANSPORT_STEPS_PER_UNIT
 from .fields import NumericError, ShapeError
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GEOCONN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -48,59 +40,51 @@ def _default_steps(curve: AdmissibleCurve) -> int:
     return max(1, int(round(TRANSPORT_STEPS_PER_UNIT * (curve.t1 - curve.t0))))
 
 
-def _coefficient_grid(conn: LinearConnection, curve: AdmissibleCurve, steps: int):
-    """Coefficient matrices at the half-step nodes of the RK4 grid."""
+def _fiber_vector(conn: LinearConnection, y0) -> np.ndarray:
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (conn.l,):
+        raise ShapeError(f"initial fiber vector must have length {conn.l}")
+    return y0
+
+
+def _propagate(amats: np.ndarray, h: float, t0: float) -> np.ndarray:
+    """Transport matrices at the full-step nodes, integrated from the identity."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = rk4_linear(amats, h, np.eye(amats.shape[1]))
+    finite = np.isfinite(phi).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericError(f"lift diverged near t={t0 + int(np.argmin(finite)) * h}")
+    return phi
+
+
+def _curve_transport(conn: LinearConnection, curve: AdmissibleCurve, steps: int | None):
+    """Nodes, base points, transport matrices and admissibility residual of a curve."""
+    if steps is None:
+        steps = _default_steps(curve)
     ts = np.linspace(curve.t0, curve.t1, 2 * steps + 1)
     xs = curve.x_batch(ts)
-    us = curve.u_batch(ts)
     coeff = conn.coeff_sample(xs)  # (m, k, l, l)
-    amats = np.einsum("ma,maAB->mAB", us, coeff)
-    return ts, xs, us, amats
-
-
-def _integrate(amats: np.ndarray, h: float, y0: np.ndarray, t0: float) -> np.ndarray:
-    ys = rk4_linear(amats, h, np.asarray(y0, dtype=float))
-    if not np.all(np.isfinite(ys)):
-        bad = int(np.argmax(~np.all(np.isfinite(ys), axis=1)))
-        raise NumericError(f"lift diverged near t={t0 + bad * h}")
-    return ys
+    amats = np.einsum("ma,maAB->mAB", curve.u_batch(ts), coeff)
+    residual = conn.bundle.require_admissible(curve)
+    phi = _propagate(amats, (curve.t1 - curve.t0) / steps, curve.t0)
+    return ts[::2], xs[::2], phi, residual
 
 
 def lift_curve(conn: LinearConnection, curve: AdmissibleCurve, y0, steps: int | None = None) -> TransportResult:
     """Lift of an admissible curve through ``y0`` plus the transport matrix.
 
     The curve is rejected when its admissibility residual exceeds its gate.
-    The matrix is produced by lifting the fiber basis vectors, so the lift of
-    ``y0`` and the operator come from the same integration path.
+    The lift is the transport matrix at each node applied to ``y0``, so the
+    lift and the operator come from the same integration.
     """
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (conn.l,):
-        raise ShapeError(f"initial fiber vector must have length {conn.l}")
-    if steps is None:
-        steps = _default_steps(curve)
-    ts, xs, us, amats = _coefficient_grid(conn, curve, steps)
-    residual = conn.bundle.require_admissible(curve)
-    h = (curve.t1 - curve.t0) / steps
-
-    columns = [np.eye(conn.l)[:, j] for j in range(conn.l)]
-    workers = min(_thread_count(), conn.l + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_integrate, amats, h, c, curve.t0) for c in columns]
-            futures.append(pool.submit(_integrate, amats, h, y0, curve.t0))
-            results = [f.result() for f in futures]
-        basis_paths, y_path = results[:-1], results[-1]
-    else:
-        basis_paths = [_integrate(amats, h, c, curve.t0) for c in columns]
-        y_path = _integrate(amats, h, y0, curve.t0)
-
-    matrix = np.stack([p[-1] for p in basis_paths], axis=1)
+    y0 = _fiber_vector(conn, y0)
+    ts, xs, phi, residual = _curve_transport(conn, curve, steps)
     return TransportResult(
-        ts=ts[::2],
-        base_points=xs[::2],
-        fiber_points=y_path,
-        transport_matrix=matrix,
-        step_count=steps,
+        ts=ts,
+        base_points=xs,
+        fiber_points=phi @ y0,
+        transport_matrix=phi[-1],
+        step_count=len(ts) - 1,
         max_admissibility_residual=residual,
     )
 
@@ -113,9 +97,7 @@ def parallel_transport(conn: LinearConnection, curve, steps: int | None = None) 
     gate, while fiber continuity is not required.  Segment operators compose
     in order.
     """
-    if isinstance(curve, AdmissibleCurve):
-        return lift_curve(conn, curve, np.zeros(conn.l), steps).transport_matrix
-    segments = list(curve)
+    segments = [curve] if isinstance(curve, AdmissibleCurve) else list(curve)
     if not segments:
         raise ShapeError("piecewise transport needs at least one segment")
     for prev, nxt in zip(segments, segments[1:]):
@@ -124,7 +106,7 @@ def parallel_transport(conn: LinearConnection, curve, steps: int | None = None) 
             raise ShapeError(f"segment base points disagree by {gap:.3e}")
     matrix = np.eye(conn.l)
     for seg in segments:
-        matrix = lift_curve(conn, seg, np.zeros(conn.l), steps).transport_matrix @ matrix
+        matrix = _curve_transport(conn, seg, steps)[2][-1] @ matrix
     return matrix
 
 
@@ -137,30 +119,28 @@ def transport_fiber_curve(conn: LinearConnection, curve: AdmissibleCurve, y0, st
     coefficients, the pointwise derivative of constant sections along the
     curve.
     """
+    y0 = _fiber_vector(conn, y0)
     if steps is None:
         steps = _default_steps(curve)
     ts = np.linspace(curve.t0, curve.t1, 2 * steps + 1)
     x0 = curve.x(curve.t0)
-    drift = max(float(np.max(np.abs(curve.x(t) - x0))) for t in ts)
+    drift = float(np.max(np.abs(curve.x_batch(ts) - x0)))
     if drift > BASE_CONTINUITY_TOL:
         raise ShapeError(f"base point drifts by {drift:.3e}; not a fiber curve")
     gam = conn.bundle.anchor_matrix(x0)
-    us = np.stack([curve.u(t) for t in ts])
+    us = curve.u_batch(ts)
     kernel_residual = float(np.max(np.abs(us @ gam.T)))
     if kernel_residual > curve.residual_tol:
         raise ShapeError(f"curve leaves the anchor kernel by {kernel_residual:.3e}")
 
     coeff = conn.coeff_tensor(x0)  # (k, l, l)
     amats = np.einsum("ma,aAB->mAB", us, coeff)
-    h = (curve.t1 - curve.t0) / steps
-    y_path = _integrate(amats, h, np.asarray(y0, dtype=float), curve.t0)
-    basis = [_integrate(amats, h, np.eye(conn.l)[:, j], curve.t0) for j in range(conn.l)]
-    matrix = np.stack([p[-1] for p in basis], axis=1)
+    phi = _propagate(amats, (curve.t1 - curve.t0) / steps, curve.t0)
     return TransportResult(
         ts=ts[::2],
         base_points=np.tile(x0, (steps + 1, 1)),
-        fiber_points=y_path,
-        transport_matrix=matrix,
+        fiber_points=phi @ y0,
+        transport_matrix=phi[-1],
         step_count=steps,
         max_admissibility_residual=kernel_residual,
         derivative_maps=-amats[::2],

@@ -190,6 +190,18 @@ class TestDescribe:
         assert report["curves"] == 2
 
 
+    def test_anchor_hom_tol_override_reported(self, tmp_path, capsys):
+        with open(cfg("heisenberg_lie.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["tolerances"] = {"anchor_hom_tol": 1e-3}
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "describe", "--config", str(path), "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        assert report["anchor_hom_tol"] == 1e-3
+        assert report["tolerances"]["anchor_hom_tol"] == 1e-3
+
 def test_seed_override_recorded(capsys):
     code, out, _ = run(capsys, "check", "--config", cfg("flat_ehresmann.json"), "--seed", "7", "--deterministic")
     assert code == 0

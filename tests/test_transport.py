@@ -8,6 +8,7 @@ from geoconn import (
     AnchorBundle,
     CoordDomain,
     LinearConnection,
+    NumericError,
     ShapeError,
     lift_curve,
     parallel_transport,
@@ -62,6 +63,11 @@ class TestLiftCurve:
         with pytest.raises(AdmissibilityError) as err:
             lift_curve(conn, bad, np.array([1.0]))
         assert err.value.residual == pytest.approx(1.0, abs=1e-9)
+
+    def test_wrong_length_initial_vector_rejected(self, line_bundle, unit_curve):
+        conn = LinearConnection.zero(line_bundle, 2)
+        with pytest.raises(ShapeError, match="length 2"):
+            lift_curve(conn, unit_curve, np.array([1.0, 2.0, 3.0]), steps=10)
 
     def test_first_sample_matches_initial_condition_exactly(self, line_bundle, unit_curve):
         conn = LinearConnection.from_array(line_bundle, np.array([[[0.5]]]))
@@ -186,6 +192,13 @@ class TestFiberCurves:
         for t, mat in zip(res.ts, res.derivative_maps):
             assert (mat @ y0)[0] == pytest.approx(-2.0 * t, abs=1e-12)
 
+    def test_wrong_length_initial_vector_rejected(self):
+        bundle = AnchorBundle.zero(CoordDomain.cube(1), 1)
+        conn = LinearConnection.zero(bundle, 2)
+        curve = AdmissibleCurve.from_exprs(["0"], ["1"], (0.0, 1.0))
+        with pytest.raises(ShapeError, match="length 2"):
+            transport_fiber_curve(conn, curve, np.array([1.0]), steps=10)
+
     def test_moving_base_rejected(self, line_bundle):
         conn = LinearConnection.zero(line_bundle, 1)
         curve = AdmissibleCurve.from_exprs(["t"], ["1"], (0.0, 1.0))
@@ -201,22 +214,26 @@ class TestFiberCurves:
             transport_fiber_curve(conn, curve, np.array([1.0]), steps=10)
 
 
-def test_kernel_fallback_matches_jit(line_bundle, unit_curve, monkeypatch):
-    from geoconn import _kernels
+def test_matrix_integration_matches_vector_integration():
+    # The lift is linear in its initial value, so integrating the identity
+    # once and applying it to y0 must agree with integrating y0 itself.
+    from geoconn._kernels import rk4_linear
 
-    c = 0.37
-    conn = LinearConnection.from_array(line_bundle, np.array([[[c]]]))
-    res_default = lift_curve(conn, unit_curve, np.array([1.0]), steps=200)
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-    res_numpy = lift_curve(conn, unit_curve, np.array([1.0]), steps=200)
-    assert np.array_equal(res_default.fiber_points, res_numpy.fiber_points)
-    assert np.array_equal(res_default.transport_matrix, res_numpy.transport_matrix)
+    steps = 300
+    h = 1.0 / steps
+    ts = np.linspace(0.0, 1.0, 2 * steps + 1)
+    s, c, e = np.sin(3 * ts), np.cos(2 * ts), np.exp(ts)
+    entries = [s, 1 / e, 0.5 * c, -e * s, c * c, ts * e, 0.2 + 0 * ts, -s * c, e]
+    amats = np.stack(entries, axis=1).reshape(-1, 3, 3)
+    y0 = np.array([1.0, -0.5, 2.0])
+    phi = rk4_linear(amats, h, np.eye(3))
+    ys = rk4_linear(amats, h, y0)
+    assert phi.shape == (steps + 1, 3, 3)
+    assert ys.shape == (steps + 1, 3)
+    assert np.max(np.abs(phi @ y0 - ys)) < 1e-13
 
 
-def test_threaded_basis_lifts_deterministic(line_bundle, unit_curve, monkeypatch):
-    conn = LinearConnection.from_array(line_bundle, np.array([[[0.2]]]))
-    serial = lift_curve(conn, unit_curve, np.array([1.0]), steps=100)
-    monkeypatch.setenv("GEOCONN_THREADS", "4")
-    threaded = lift_curve(conn, unit_curve, np.array([1.0]), steps=100)
-    assert np.array_equal(serial.transport_matrix, threaded.transport_matrix)
-    assert np.array_equal(serial.fiber_points, threaded.fiber_points)
+def test_divergent_lift_raises_numeric_error(line_bundle, unit_curve):
+    conn = LinearConnection.from_array(line_bundle, np.array([[[1e300]]]))
+    with pytest.raises(NumericError, match="diverged near t="):
+        lift_curve(conn, unit_curve, np.array([1.0]), steps=10)
