@@ -98,11 +98,10 @@ class AnchorBundle:
         """Max-norm residual between base velocity and anchored fiber vector."""
         if times is None:
             times = np.linspace(curve.t0, curve.t1, 101)
-        worst = 0.0
-        for t in times:
-            x = curve.x(t)
-            res = curve.xdot(t) - self.anchor_matrix(x) @ curve.u(t)
-            worst = max(worst, float(np.max(np.abs(res))))
+        times = np.asarray(times, dtype=float)
+        xs = self.base.require(curve.x_batch(times))
+        res = curve.xdot_batch(times) - np.einsum("mik,mk->mi", self.gamma.sample(xs), curve.u_batch(times))
+        worst = float(np.max(np.abs(res), initial=0.0))
         if not np.isfinite(worst):
             raise NumericError("admissibility residual is not finite")
         return worst
@@ -118,7 +117,10 @@ class AdmissibleCurve:
     """Curve ``t -> (x(t), u(t))`` in the total space of an anchored bundle.
 
     ``xdot`` defaults to a central difference in ``t``.  ``residual_tol`` is
-    the gate used when the curve is fed to the transport machinery.
+    the gate used when the curve is fed to the transport machinery.  The
+    batch samplers ``x_batch``, ``u_batch`` and ``xdot_batch`` stack the
+    pointwise maps; expression curves and their reversals replace them with
+    array evaluations.
     """
 
     def __init__(
@@ -162,6 +164,9 @@ class AdmissibleCurve:
     def u_batch(self, ts) -> np.ndarray:
         return np.stack([self.u(t) for t in ts])
 
+    def xdot_batch(self, ts) -> np.ndarray:
+        return np.stack([self.xdot(t) for t in ts])
+
     @classmethod
     def from_exprs(
         cls,
@@ -170,28 +175,32 @@ class AdmissibleCurve:
         t_range=(0.0, 1.0),
         residual_tol: float = ADMISSIBILITY_TOL,
     ) -> "AdmissibleCurve":
-        """Curve from expressions in the variable ``t``; exact velocities."""
-        x_fn, xdot_fn = ex.time_functions(x_exprs, derivative=True)
-        u_fn = ex.time_functions(u_exprs)
+        """Curve from expressions in the variable ``t``; exact velocities from dual numbers."""
+        x_fn = ex.time_batch(x_exprs)
+        u_fn = ex.time_batch(u_exprs)
+        xdot_fn = ex.time_batch(x_exprs, derivative=True)
         curve = cls(t_range, x_fn, u_fn, xdot=xdot_fn, residual_tol=residual_tol)
-        curve.x_batch = ex.time_batch(x_exprs)
-        curve.u_batch = ex.time_batch(u_exprs)
+        curve.x_batch, curve.u_batch, curve.xdot_batch = x_fn, u_fn, xdot_fn
         return curve
 
     def reversed(self) -> "AdmissibleCurve":
         """Time reversal: base traversed backwards, fiber vector negated."""
         t0, t1 = self.t0, self.t1
 
-        def rx(t):
-            return self.x(t0 + t1 - t)
+        def back(ts):
+            return t0 + t1 - np.asarray(ts, dtype=float)
 
-        def ru(t):
-            return -self.u(t0 + t1 - t)
-
-        def rxdot(t):
-            return -self.xdot(t0 + t1 - t)
-
-        return AdmissibleCurve((t0, t1), rx, ru, xdot=rxdot, residual_tol=self.residual_tol)
+        curve = AdmissibleCurve(
+            (t0, t1),
+            lambda t: self.x(t0 + t1 - t),
+            lambda t: -self.u(t0 + t1 - t),
+            xdot=lambda t: -self.xdot(t0 + t1 - t),
+            residual_tol=self.residual_tol,
+        )
+        curve.x_batch = lambda ts: self.x_batch(back(ts))
+        curve.u_batch = lambda ts: -self.u_batch(back(ts))
+        curve.xdot_batch = lambda ts: -self.xdot_batch(back(ts))
+        return curve
 
 
 class SampledCurve(AdmissibleCurve):
@@ -242,7 +251,6 @@ class SampledCurve(AdmissibleCurve):
         # Finite differences of the node data; deliberately not the recorded
         # node derivatives, so the admissibility check stays independent.
         ts = self.ts
-        i, _, _ = self._segment(t)
         j = int(np.argmin(np.abs(ts - t)))
         if 0 < j < len(ts) - 1:
             return (self._interp_x(ts[j + 1]) - self._interp_x(ts[j - 1])) / (ts[j + 1] - ts[j - 1])

@@ -63,12 +63,12 @@ def _record(name: str, residual: float, tolerance: float, **extra) -> dict:
     return rec
 
 
-def check_admissibility(bundle: AnchorBundle, curves, default_tol: float) -> list[dict]:
-    out = []
-    for idx, curve in enumerate(curves):
-        residual = bundle.admissibility_residual(curve)
-        out.append(_record(f"admissibility[{idx}]", residual, curve.residual_tol or default_tol))
-    return out
+def check_admissibility(bundle: AnchorBundle, curves) -> list[dict]:
+    """Each curve's admissibility residual against the gate it carries."""
+    return [
+        _record(f"admissibility[{idx}]", bundle.admissibility_residual(curve), curve.residual_tol)
+        for idx, curve in enumerate(curves)
+    ]
 
 
 def check_partial_connection(conn: Connection, points, rng: np.random.Generator) -> dict:
@@ -225,7 +225,7 @@ def run_all(cfg) -> dict:
     rng = np.random.default_rng(cfg.seed)
     points = list(cfg.points) if cfg.points else [p for p in cfg.bundle.base.sample(rng, 5)]
     checks: list[dict] = []
-    checks.extend(check_admissibility(cfg.bundle, cfg.curves, cfg.tolerances["admissibility_tol"]))
+    checks.extend(check_admissibility(cfg.bundle, cfg.curves))
     if cfg.connection is not None:
         checks.append(check_partial_connection(cfg.connection, points, rng))
         checks.append(check_lift_linearity(cfg.connection, rng, samples=20))

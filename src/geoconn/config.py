@@ -54,17 +54,20 @@ def _expect(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
-def _build_curve(spec: dict, path: str) -> AdmissibleCurve:
+def _build_curve(spec: dict, path: str, n: int, k: int, residual_tol: float) -> AdmissibleCurve:
     if not isinstance(spec, dict):
         raise ConfigError(path, "curve spec must be an object")
     x_exprs = _expect(spec, "x", path)
     u_exprs = _expect(spec, "u", path)
+    for key, exprs, size in (("x", x_exprs, n), ("u", u_exprs, k)):
+        if not isinstance(exprs, list) or len(exprs) != size:
+            raise ConfigError(f"{path}.{key}", f"expected a list of {size} expressions, got {exprs!r}")
     t0 = float(spec.get("t0", 0.0))
     t1 = float(spec.get("t1", 1.0))
     if not t0 < t1:
         raise ConfigError(path, f"empty parameter range [{t0}, {t1}]")
     try:
-        curve = AdmissibleCurve.from_exprs(x_exprs, u_exprs, (t0, t1))
+        curve = AdmissibleCurve.from_exprs(x_exprs, u_exprs, (t0, t1), residual_tol=residual_tol)
     except ex.ParseError as err:
         raise ConfigError(path, str(err)) from err
     if "steps" in spec:
@@ -127,9 +130,16 @@ def build(doc: dict) -> RunConfig:
         except (ex.ParseError, GeoconnError) as err:
             raise ConfigError("$.structure", str(err)) from err
 
-    curves = []
-    for idx, spec in enumerate(doc.get("curves", [])):
-        curves.append(_build_curve(spec, f"$.curves[{idx}]"))
+    tolerances = tolerance_table()
+    for name, value in doc.get("tolerances", {}).items():
+        if name not in tolerances:
+            raise ConfigError(f"$.tolerances.{name}", f"unknown tolerance; know {sorted(tolerances)}")
+        tolerances[name] = float(value)
+
+    curves = [
+        _build_curve(spec, f"$.curves[{idx}]", bundle.n, bundle.k, tolerances["admissibility_tol"])
+        for idx, spec in enumerate(doc.get("curves", []))
+    ]
 
     sections: dict[str, VectorField] = {}
     scalars: dict[str, ScalarField] = {}
@@ -149,12 +159,6 @@ def build(doc: dict) -> RunConfig:
         if not bundle.base.contains(p):
             raise ConfigError(f"$.points[{idx}]", f"point {p.tolist()} outside the box")
         points.append(p)
-
-    tolerances = tolerance_table()
-    for name, value in doc.get("tolerances", {}).items():
-        if name not in tolerances:
-            raise ConfigError(f"$.tolerances.{name}", f"unknown tolerance; know {sorted(tolerances)}")
-        tolerances[name] = float(value)
 
     return RunConfig(
         bundle=bundle,

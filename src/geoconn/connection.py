@@ -99,8 +99,9 @@ class LinearConnection:
         """Coefficients at ``x`` as an array indexed ``[alpha, A, B]``."""
         return np.stack([m.value(x) for m in self.coeffs])
 
-    def coeff_tensor_partial(self, x, axis: int) -> np.ndarray:
-        return np.stack([m.partial(x, axis) for m in self.coeffs])
+    def coeff_tensor_partial(self, x) -> np.ndarray:
+        """Partials of the coefficients along every base axis, indexed ``[j, alpha, A, B]``."""
+        return np.stack([m.jacobian(x) for m in self.coeffs], axis=1)
 
     def coeff_sample(self, points: np.ndarray) -> np.ndarray:
         """Batch of coefficient tensors, shape ``(m, k, l, l)``."""
@@ -377,7 +378,7 @@ def transform_connection(conn: LinearConnection, change: BundleChange) -> Linear
         lam_inv = _regular_inverse(lam, "anchored-bundle change")
         gam = conn.bundle.anchor_matrix(x)
         coeff = conn.coeff_tensor(x)
-        dxi = np.stack([change.xi.partial(x, j) for j in range(n)])
+        dxi = change.xi.jacobian(x)
         mid = np.einsum("jAC,jb->bAC", dxi, gam) + np.einsum("AD,bDC->bAC", xi, coeff)
         new_coeff = np.einsum("bAC,CB,ba->aAB", mid, xi_inv, lam_inv)
         new_gam = change.base_jacobian(x) @ gam @ lam_inv

@@ -1,11 +1,11 @@
-"""First-order dual numbers for forward-mode differentiation.
+"""First-order dual numbers for vector forward-mode differentiation.
 
-A :class:`Dual` carries a real part and a vector of derivative seeds, so one
+A :class:`Dual` carries a real part and its derivative seeds, so one
 evaluation of an expression yields the value together with its full gradient.
-The helpers :func:`sin`, :func:`cos`, :func:`exp` dispatch on the argument
-type and therefore work on plain floats, numpy arrays and duals alike; the
-expression evaluator and generic field closures route all transcendental
-calls through them.
+The real part is a float for one point or an array of shape ``S`` for a batch,
+with seeds of shape ``(n,) + S``; one evaluation on :func:`seed` of a batch
+gives every gradient of the batch.  :func:`sin`, :func:`cos`, :func:`exp`
+work on plain floats, numpy arrays and duals alike.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import numpy as np
 
 
 class Dual:
-    """Number of the form ``a + eps`` with ``eps`` a vector of seeds."""
+    """Number ``re + eps``: ``re`` a float or an array of shape ``S``, ``eps`` of shape ``(n,) + S``."""
 
     __slots__ = ("re", "eps")
 
-    def __init__(self, re: float, eps):
-        self.re = float(re)
+    def __init__(self, re, eps):
+        # Python floats keep single-point arithmetic off numpy scalars.
+        self.re = re if type(re) is np.ndarray else float(re)
         self.eps = np.asarray(eps, dtype=float)
 
     # -- arithmetic ---------------------------------------------------------
@@ -48,14 +49,14 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            if other.re == 0.0:
+            if np.any(other.re == 0.0):
                 raise ZeroDivisionError("dual division by zero real part")
             re = self.re / other.re
             return Dual(re, (self.eps - re * other.eps) / other.re)
         return Dual(self.re / other, self.eps / other)
 
     def __rtruediv__(self, other):
-        if self.re == 0.0:
+        if np.any(self.re == 0.0):
             raise ZeroDivisionError("dual division by zero real part")
         re = other / self.re
         return Dual(re, -re * self.eps / self.re)
@@ -68,8 +69,8 @@ class Dual:
             raise TypeError("dual exponent must be an integer")
         n = int(n)
         if n == 0:
-            return Dual(1.0, np.zeros_like(self.eps))
-        if n < 0 and self.re == 0.0:
+            return Dual(self.re**0, np.zeros_like(self.eps))
+        if n < 0 and np.any(self.re == 0.0):
             raise ZeroDivisionError("zero base with negative exponent")
         return Dual(self.re**n, n * self.re ** (n - 1) * self.eps)
 
@@ -95,17 +96,19 @@ def _real(v):
     return v.re if isinstance(v, Dual) else v
 
 
-def real(v) -> float:
-    """Real part of a float or dual."""
+def real(v):
+    """Real part of a float, array or dual."""
     return _real(v)
 
 
-def seed(point, count: int | None = None) -> list[Dual]:
-    """Duals for the coordinates of ``point`` seeded with the identity."""
-    point = np.asarray(point, dtype=float)
-    n = point.size if count is None else count
+def seed(points) -> list[Dual]:
+    """Coordinate duals of one point ``(n,)`` (float real parts) or a batch ``(m, n)``, seeded with the identity."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[-1]
     eye = np.eye(n)
-    return [Dual(point[i], eye[i]) for i in range(point.size)]
+    if points.ndim == 1:
+        return [Dual(float(points[i]), eye[i]) for i in range(n)]
+    return [Dual(points[:, i], np.broadcast_to(eye[i][:, None], (n, len(points)))) for i in range(n)]
 
 
 def sin(v):

@@ -147,7 +147,8 @@ def to_str(node: Node) -> str:
             return f"({s})" if parent_prec > p else s
         if isinstance(n, Pow):
             base = go(n.base, _PREC["^"] + 1)
-            return f"{base}^{n.exponent}"
+            s = f"{base}^{n.exponent}"
+            return f"({s})" if parent_prec > _PREC["^"] else s
         return f"{n.fn}({go(n.arg, 0)})"
 
     return go(node, 0)
@@ -335,7 +336,7 @@ def to_field(expr: Node | str | float, domain: CoordDomain) -> ScalarField:
     if not used <= allowed:
         raise ShapeError(f"expression uses {sorted(used - allowed)} outside domain dim {domain.dim}")
     node = expr
-    return ScalarField(domain, lambda env: evaluate(node, env), mode="dual", vectorized=True)
+    return ScalarField(domain, lambda env: evaluate(node, env), mode="dual")
 
 
 def to_vector_field(exprs: Sequence, domain: CoordDomain) -> VectorField:
@@ -346,36 +347,24 @@ def to_matrix_field(rows: Sequence[Sequence], domain: CoordDomain) -> MatrixFiel
     return MatrixField([[to_field(e, domain) for e in row] for row in rows])
 
 
-def time_functions(exprs: Sequence, derivative: bool = False):
-    """Vector map ``t -> values`` (and optionally its derivative) from expressions in ``t``.
+def time_batch(exprs: Sequence, derivative: bool = False):
+    """Batched map from times to the values of expressions in ``t``.
 
-    Used for curve specifications; derivatives come from dual numbers.
+    Shape ``(m,) -> (m, len(exprs))``, or ``() -> (len(exprs),)`` for one
+    time.  With ``derivative`` the map gives the ``t``-derivatives instead,
+    from one evaluation on dual numbers seeded with the times.
     """
-    nodes = [parse(e, ["t"]) if isinstance(e, str) else Num(float(e)) for e in exprs]
-
-    def value(t: float) -> np.ndarray:
-        return np.array([float(dm.real(evaluate(n, [t]))) for n in nodes])
-
-    if not derivative:
-        return value
-
-    def deriv(t: float) -> np.ndarray:
-        out = np.empty(len(nodes))
-        for i, n in enumerate(nodes):
-            v = evaluate(n, [dm.Dual(t, np.ones(1))])
-            out[i] = v.eps[0] if isinstance(v, dm.Dual) else 0.0
-        return out
-
-    return value, deriv
-
-
-def time_batch(exprs: Sequence):
-    """Batched ``ts -> values`` map (shape ``(m,) -> (m, len(exprs))``)."""
     nodes = [parse(e, ["t"]) if isinstance(e, str) else Num(float(e)) for e in exprs]
 
     def batch(ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        cols = [np.broadcast_to(np.asarray(evaluate(n, [ts]), dtype=float), ts.shape) for n in nodes]
+        env = dm.seed(ts[..., None]) if derivative else [ts]
+        cols = []
+        for n in nodes:
+            v = evaluate(n, env)
+            if derivative:
+                v = v.eps[0] if isinstance(v, dm.Dual) else 0.0
+            cols.append(np.broadcast_to(np.asarray(v, dtype=float), ts.shape))
         return np.stack(cols, axis=-1)
 
     return batch

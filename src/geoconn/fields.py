@@ -2,12 +2,15 @@
 
 All coefficient data in the library (anchors, connection coefficients,
 structure functions, sections) is consumed through the field classes here,
-which provide a uniform first-derivative service with three modes:
+which provide a uniform first-derivative service with two modes:
 
-* ``dual``     -- the backing callable accepts dual numbers, derivatives are
-                  exact (expression-defined fields use this),
-* ``analytic`` -- an explicit gradient callable was supplied,
-* ``fd``       -- central differences for opaque callables.
+* ``dual`` -- the callable is elementwise: built from arithmetic and the
+              :mod:`dual` helpers only, so it accepts coordinates that are
+              floats, arrays or dual numbers.  Batched values are one call on
+              coordinate arrays; exact gradients, at one point or a batch, are
+              one call on seeded duals (expression-defined fields use this);
+* ``fd``   -- an opaque callable of one point, sampled point by point and
+              differentiated by central differences.
 
 Fields are immutable after construction and all operations are pure.
 """
@@ -74,7 +77,14 @@ class CoordDomain:
         return True
 
     def require(self, point, margin: float = 0.0) -> np.ndarray:
+        """``point`` checked to lie in the box; a batch ``(m, dim)`` is checked row by row."""
         point = np.asarray(point, dtype=float)
+        if point.ndim == 2 and point.shape[1] == self.dim:
+            lo, hi = np.array(self.bounds).T
+            out = ((point < lo - 1e-12 + margin) | (point > hi + 1e-12 - margin)).any(axis=1)
+            if out.any():
+                raise DomainError(f"point {point[np.argmax(out)].tolist()} outside domain {self.bounds}")
+            return point
         if point.shape != (self.dim,):
             raise ShapeError(f"expected point of dim {self.dim}, got shape {point.shape}")
         if not self.contains(point, margin):
@@ -109,40 +119,28 @@ class CoordDomain:
 class ScalarField:
     """Real-valued field on a :class:`CoordDomain` with a derivative mode."""
 
-    __slots__ = ("domain", "fn", "mode", "grad", "step", "vectorized")
+    __slots__ = ("domain", "fn", "mode", "step")
 
-    def __init__(
-        self,
-        domain: CoordDomain,
-        fn: Callable,
-        mode: str = "fd",
-        grad: Callable | None = None,
-        step: float | None = None,
-        vectorized: bool = False,
-    ):
-        if mode not in ("dual", "analytic", "fd"):
+    def __init__(self, domain: CoordDomain, fn: Callable, mode: str = "fd", step: float | None = None):
+        if mode not in ("dual", "fd"):
             raise ValueError(f"unknown derivative mode {mode!r}")
-        if mode == "analytic" and grad is None:
-            raise ValueError("analytic mode requires a gradient callable")
         self.domain = domain
         self.fn = fn
         self.mode = mode
-        self.grad = grad
         self.step = step
-        self.vectorized = vectorized
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def constant(cls, domain: CoordDomain, value: float) -> "ScalarField":
         c = float(value)
-        return cls(domain, lambda p: c, mode="dual", vectorized=True)
+        return cls(domain, lambda p: c, mode="dual")
 
     @classmethod
     def coordinate(cls, domain: CoordDomain, axis: int) -> "ScalarField":
         if not 0 <= axis < domain.dim:
             raise ShapeError(f"axis {axis} out of range for dim {domain.dim}")
-        return cls(domain, lambda p: p[axis], mode="dual", vectorized=True)
+        return cls(domain, lambda p: p[axis], mode="dual")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -155,7 +153,7 @@ class ScalarField:
         return float(v)
 
     def gen(self, values):
-        """Evaluate on a sequence of floats or duals, without domain checks.
+        """Evaluate on a sequence of floats, arrays or duals, without domain checks.
 
         Dual inputs require ``mode == 'dual'``.
         """
@@ -166,7 +164,7 @@ class ScalarField:
     def sample(self, points: np.ndarray) -> np.ndarray:
         """Values at a batch of points, shape ``(m, dim) -> (m,)``."""
         points = np.asarray(points, dtype=float)
-        if self.vectorized:
+        if self.mode == "dual":
             out = self.fn([points[:, j] for j in range(self.domain.dim)])
             out = np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
         else:
@@ -184,14 +182,8 @@ class ScalarField:
         point = np.asarray(point, dtype=float)
         if not 0 <= axis < self.domain.dim:
             raise ShapeError(f"axis {axis} out of range for dim {self.domain.dim}")
-        if self.mode == "analytic":
-            self.domain.require(point)
-            return float(np.asarray(self.grad(point), dtype=float)[axis])
         if self.mode == "dual":
-            self.domain.require(point)
-            duals = dm.seed(point)
-            out = self.fn(duals)
-            return float(out.eps[axis]) if isinstance(out, dm.Dual) else 0.0
+            return float(self.gradient(point)[axis])
         h = self._fd_step(point[axis])
         up = point.copy()
         dn = point.copy()
@@ -204,40 +196,40 @@ class ScalarField:
             raise NumericError(f"derivative evaluated to {d} at {point.tolist()}")
         return float(d)
 
-    def gradient(self, point) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        if self.mode == "analytic":
-            self.domain.require(point)
-            return np.asarray(self.grad(point), dtype=float).copy()
-        if self.mode == "dual":
-            self.domain.require(point)
-            out = self.fn(dm.seed(point))
-            if isinstance(out, dm.Dual):
-                return out.eps.copy()
-            return np.zeros(self.domain.dim)
-        return np.array([self.partial(point, j) for j in range(self.domain.dim)])
+    def gradient(self, points) -> np.ndarray:
+        """Gradient at one point ``(dim,)`` or a batch ``(m, dim)``; in dual mode one seeded evaluation."""
+        points = self.domain.require(points)
+        if self.mode == "fd":
+            if points.ndim == 2:
+                return np.array([self.gradient(p) for p in points]).reshape(points.shape)
+            return np.array([self.partial(points, j) for j in range(self.domain.dim)])
+        out = self.fn(dm.seed(points))
+        if not isinstance(out, dm.Dual):
+            return np.zeros(points.shape)
+        if points.ndim == 1:
+            return out.eps.copy()
+        return np.broadcast_to(out.eps, points.shape[::-1]).T.copy()
 
     def check_derivatives(self, rng: np.random.Generator, samples: int = 100, tol: float | None = None) -> float:
-        """Max deviation between the field's own derivatives and central differences.
+        """Max deviation between the field's dual derivatives and central differences.
 
-        Only meaningful for ``dual`` and ``analytic`` modes; raises if the
-        deviation exceeds ``tol``.
+        Only meaningful for ``dual`` mode; raises if the deviation exceeds
+        ``tol``.
         """
         from .defaults import FD_MATCH_TOL
 
         tol = FD_MATCH_TOL if tol is None else tol
         pts = self.domain.sample(rng, samples)
+        grads = self.gradient(pts)
         worst = 0.0
-        for p in pts:
-            for axis in range(self.domain.dim):
-                h = FD_STEP_SCALE * max(1.0, abs(p[axis])) * 100.0
-                up, dn = p.copy(), p.copy()
-                up[axis] += h
-                dn[axis] -= h
-                if not (self.domain.contains(up) and self.domain.contains(dn)):
-                    continue
-                fd = (dm.real(self.fn(up)) - dm.real(self.fn(dn))) / (2.0 * h)
-                worst = max(worst, abs(self.partial(p, axis) - fd))
+        for axis in range(self.domain.dim):
+            h = FD_STEP_SCALE * np.maximum(1.0, np.abs(pts[:, axis])) * 100.0
+            up, dn = pts.copy(), pts.copy()
+            up[:, axis] += h
+            dn[:, axis] -= h
+            inside = np.array([self.domain.contains(a) and self.domain.contains(b) for a, b in zip(up, dn)], dtype=bool)
+            fd = (self.sample(up[inside]) - self.sample(dn[inside])) / (2.0 * h[inside])
+            worst = max(worst, float(np.max(np.abs(grads[inside, axis] - fd), initial=0.0)))
         if worst > tol:
             raise NumericError(f"declared derivatives deviate from differences by {worst}")
         return worst
@@ -332,12 +324,9 @@ class MatrixField:
                 out[:, i, j] = f.sample(points)
         return out
 
-    def partial(self, point, axis: int) -> np.ndarray:
-        out = np.empty((self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                out[i, j] = f.partial(point, axis)
-        return out
+    def jacobian(self, point) -> np.ndarray:
+        """Partials along every axis at ``point``, shape ``(dim, rows, cols)``; one pass per entry."""
+        return np.moveaxis(np.array([[f.gradient(point) for f in row] for row in self.entries]), -1, 0)
 
     def column(self, j: int) -> VectorField:
         return VectorField([row[j] for row in self.entries])

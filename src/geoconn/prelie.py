@@ -149,7 +149,7 @@ def anchor_hom_residual(struct: PreLieStructure, x) -> float:
     bundle = struct.bundle
     x = bundle.base.require(x)
     gam = bundle.anchor_matrix(x)
-    dgam = np.stack([bundle.gamma.partial(x, j) for j in range(bundle.n)])  # (n_axes, n, k)
+    dgam = bundle.gamma.jacobian(x)  # (n_axes, n, k)
     c = struct.tensor(x)
     lhs = np.einsum("lab,il->iab", c, gam)
     rhs = np.einsum("ja,jib->iab", gam, dgam) - np.einsum("jb,jia->iab", gam, dgam)
@@ -200,10 +200,9 @@ def curvature_components(conn: LinearConnection, struct: PreLieStructure, x) -> 
     coefficients are the negatives of the frame-derivative ones).
     """
     x = conn.bundle.base.require(x)
-    n = conn.bundle.n
     gam = conn.bundle.anchor_matrix(x)
     coeff = conn.coeff_tensor(x)  # (k, l, l) indexed [alpha, A, B]
-    dcoeff = np.stack([conn.coeff_tensor_partial(x, j) for j in range(n)])  # (n, k, l, l)
+    dcoeff = conn.coeff_tensor_partial(x)  # (n, k, l, l)
     c = struct.tensor(x)
     term_d = -np.einsum("ia,ibBA->abBA", gam, dcoeff) + np.einsum("ib,iaBA->abBA", gam, dcoeff)
     term_q = np.einsum("aBC,bCA->abBA", coeff, coeff) - np.einsum("bBC,aCA->abBA", coeff, coeff)

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves via importorskip
+    pass
+else:
+    # Deterministic property tests: fixed examples, no example database.
+    settings.register_profile("geoconn", max_examples=30, deadline=None, derandomize=True, database=None)
+    settings.load_profile("geoconn")
+
 from geoconn import (
     make_ehresmann,
     make_heisenberg_algebroid,

@@ -5,6 +5,7 @@ from geoconn import (
     AdmissibleCurve,
     AnchorBundle,
     CoordDomain,
+    DomainError,
     FiberPoint,
     MatrixField,
     integral_curve_of_section,
@@ -164,3 +165,24 @@ def test_analytic_curves_hold_tighter_gate():
     assert ADMISSIBILITY_TOL < ADMISSIBILITY_TOL_SAMPLED
     curve = AdmissibleCurve.from_exprs(["t"], ["1"], (0.0, 1.0))
     assert curve.residual_tol == ADMISSIBILITY_TOL
+
+
+def test_reversed_expression_curve_keeps_batch_samplers(heisenberg_lie_case):
+    bundle = heisenberg_lie_case.bundle
+    curve = AdmissibleCurve.from_exprs(["t", "t^2/2", "t^3/12"], ["1", "t", "0"], (0.0, 1.0))
+    rev = curve.reversed()
+    ts = np.linspace(0.0, 1.0, 11)
+    for batch, point in ((rev.x_batch, rev.x), (rev.u_batch, rev.u), (rev.xdot_batch, rev.xdot)):
+        assert np.array_equal(batch(ts), np.stack([point(t) for t in ts]))
+    assert np.allclose(rev.x_batch(ts), curve.x_batch(ts[::-1]), rtol=0, atol=1e-15)
+    assert bundle.admissibility_residual(rev) < 1e-12
+    # The batches are built from the forward batches, not node by node.
+    rev._x = rev._u = rev._xdot = None
+    assert bundle.admissibility_residual(rev) < 1e-12
+
+
+def test_admissibility_residual_rejects_curve_leaving_box():
+    bundle = AnchorBundle.identity(CoordDomain.cube(1, -1, 1))
+    curve = AdmissibleCurve.from_exprs(["2*t"], ["2"], (0.0, 1.0))
+    with pytest.raises(DomainError):
+        bundle.admissibility_residual(curve)

@@ -76,6 +76,51 @@ class TestCheck:
         assert "$.anchor" in err and "offset" in err
 
 
+def _override_admissibility_tol(tmp_path, value):
+    """scalar_transport.json, whose second curve runs at twice the admissible speed, with a looser gate."""
+    with open(cfg("scalar_transport.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tolerances"] = {"admissibility_tol": value}
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _heisenberg_with_curve(tmp_path, **curve):
+    with open(cfg("heisenberg_lie.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["curves"][0].update(curve)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCurveConfig:
+    def test_admissibility_tol_override_applied_by_check(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "check", "--config", _override_admissibility_tol(tmp_path, 2.0), "--deterministic")
+        report = json.loads(out)
+        assert report["tolerances"]["admissibility_tol"] == 2.0
+        second = next(c for c in report["checks"] if c["name"] == "admissibility[1]")
+        assert second["tolerance"] == 2.0
+        assert second["residual"] == pytest.approx(1.0)
+        assert second["passed"] is True
+        assert code == 0
+
+    def test_admissibility_tol_override_applied_by_transport(self, tmp_path, capsys):
+        path = _override_admissibility_tol(tmp_path, 2.0)
+        code, out, _ = run(capsys, "transport", "--config", path, "--curve-index", "1", "--deterministic")
+        assert code == 0
+        assert json.loads(out)["residual"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("command", ["check", "transport"])
+    @pytest.mark.parametrize("key, exprs", [("x", ["t", "t^2/2"]), ("u", ["1", "t"])])
+    def test_wrong_expression_count_is_config_error(self, tmp_path, capsys, command, key, exprs):
+        code, _, err = run(capsys, command, "--config", _heisenberg_with_curve(tmp_path, **{key: exprs}))
+        assert code == 2
+        assert f"$.curves[0].{key}" in err
+        assert "Traceback" not in err
+
+
 class TestTransport:
     def test_scalar_exponential_matrix(self, capsys):
         code, out, _ = run(

@@ -55,3 +55,28 @@ def test_right_operand_forms():
     assert (5.0 / x).eps[0] == pytest.approx(-5.0 / 4.0)
     assert (-x).re == -2.0
     assert (x < 3.0) and (x > 1.0) and (x <= 2.0) and (x >= 2.0)
+
+
+def test_batched_seed_matches_pointwise():
+    pts = np.array([[1.0, 2.0], [0.5, -1.0], [-0.3, 0.7]])
+
+    def f(x):
+        return dm.sin(x[0]) * x[1] ** 2 / (x[0] + 3.0) - dm.exp(x[1]) + 1.0 / (2.0 - x[0])
+
+    batch = f(dm.seed(pts))
+    assert batch.re.shape == (3,) and batch.eps.shape == (2, 3)
+    for m, p in enumerate(pts):
+        point = f(dm.seed(p))
+        assert type(point.re) is float
+        assert batch.re[m] == pytest.approx(point.re, rel=1e-14)
+        assert np.allclose(batch.eps[:, m], point.eps, rtol=1e-14, atol=0)
+
+
+def test_batched_power_and_zero_checks():
+    xs = dm.seed(np.array([[2.0], [0.0]]))
+    assert np.array_equal((xs[0] ** 0).re, [1.0, 1.0])
+    assert np.array_equal((xs[0] ** 2).eps, [[4.0, 0.0]])
+    with pytest.raises(ZeroDivisionError):
+        1.0 / xs[0]
+    with pytest.raises(ZeroDivisionError):
+        xs[0] ** -1

@@ -119,7 +119,7 @@ class TestToField:
         with pytest.raises(Exception):
             to_field("x1", dom)
 
-    def test_vectorized_sampling(self):
+    def test_batched_sampling(self):
         dom = CoordDomain.cube(2)
         f = to_field("x0^2 - x1", dom)
         pts = np.array([[0.1, 0.2], [0.5, -0.5], [1.0, 1.0]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoconn import dual as dm
 from geoconn import (
     CoordDomain,
     DomainError,
@@ -93,13 +94,23 @@ class TestDifferentiate:
         with pytest.raises(DomainError):
             f.partial(np.array([0.0]), 0)
 
-    def test_analytic_mode_checked_against_differences(self, rng):
+    def test_dual_callable_dropping_seeds_fails_check(self, rng):
         dom = CoordDomain.cube(1)
-        good = ScalarField(dom, lambda p: p[0] ** 3, mode="analytic", grad=lambda p: [3 * p[0] ** 2])
+        good = ScalarField(dom, lambda p: p[0] ** 3, mode="dual")
         assert good.check_derivatives(rng, samples=20) < 1e-5
-        bad = ScalarField(dom, lambda p: p[0] ** 3, mode="analytic", grad=lambda p: [p[0]])
+        # Taking the real part discards the seeds, so the dual gradient reads 0.
+        bad = ScalarField(dom, lambda p: dm.real(p[0]) ** 3, mode="dual")
         with pytest.raises(NumericError):
             bad.check_derivatives(rng, samples=20)
+
+    def test_batched_gradient_matches_pointwise(self, rng):
+        dom = CoordDomain.cube(2)
+        f = to_field("sin(x0)*x1 + exp(x1)", dom)
+        pts = dom.sample(rng, 7)
+        assert np.allclose(f.gradient(pts), [f.gradient(p) for p in pts], rtol=1e-14, atol=1e-14)
+        opaque = ScalarField(dom, lambda p: float(np.sin(p[0]) * p[1] + np.exp(p[1])), mode="fd")
+        assert np.allclose(opaque.gradient(pts), f.gradient(pts), atol=1e-6)
+        assert np.array_equal(ScalarField.constant(dom, 2.0).gradient(pts), np.zeros((7, 2)))
 
 
 class TestJacobian:
@@ -187,12 +198,15 @@ def test_dual_vs_central_difference_on_random_points(rng):
         assert f.check_derivatives(rng, samples=100) < 1e-5
 
 
-def test_matrix_field_batch_and_partial():
+def test_matrix_field_batch_and_jacobian():
     dom = CoordDomain.cube(2)
     m = MatrixField([[to_field("x0", dom), to_field("x1", dom)], [to_field("x0*x1", dom), to_field("2", dom)]])
     x = np.array([0.5, -0.5])
     assert np.allclose(m.value(x), [[0.5, -0.5], [-0.25, 2.0]])
-    assert np.allclose(m.partial(x, 0), [[1, 0], [-0.5, 0]])
+    jac = m.jacobian(x)
+    assert jac.shape == (2, 2, 2)
+    assert np.allclose(jac[0], [[1, 0], [-0.5, 0]])
+    assert np.allclose(jac[1], [[0, 1], [0.5, 0]])
     pts = np.array([[0.1, 0.2], [0.3, 0.4]])
     assert m.sample(pts).shape == (2, 2, 2)
     assert np.allclose(m.sample(pts)[1], m.value(pts[1]))

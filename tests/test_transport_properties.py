@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
 from geoconn import AdmissibleCurve, AnchorBundle, CoordDomain, LinearConnection, parallel_transport  # noqa: E402
-
-PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -32,7 +30,6 @@ def straight_line(v, t0, t1):
     return AdmissibleCurve((t0, t1), lambda t: t * v, lambda t: v, xdot=lambda t: v)
 
 
-@PROPERTY_SETTINGS
 @given(line_transport(), st.integers(1, 40))
 def test_transport_composes_over_halves(case, half_steps):
     # The halves with N steps each walk the same RK4 nodes as the whole
@@ -43,7 +40,6 @@ def test_transport_composes_over_halves(case, half_steps):
     assert np.max(np.abs(whole - halves)) < 1e-12
 
 
-@PROPERTY_SETTINGS
 @given(line_transport())
 def test_reversed_transport_inverts(case):
     conn, v = case
