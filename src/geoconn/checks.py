@@ -11,7 +11,7 @@ import numpy as np
 
 from .bundle import AnchorBundle
 from .connection import Connection, LinearConnection, lift, partial_connection_test
-from .defaults import ANCHOR_HOM_TOL
+from .defaults import ANCHOR_HOM_TOL, RANK_REL_TOL
 from .derivative import nabla
 from .fields import CoordDomain, ScalarField, VectorField, add_sections, scale_section
 from .prelie import (
@@ -45,16 +45,7 @@ def random_linear_section(domain: CoordDomain, size: int, rng: np.random.Generat
 
 
 def random_scalar(domain: CoordDomain, rng: np.random.Generator) -> ScalarField:
-    const = rng.uniform(-1.0, 1.0)
-    slope = rng.uniform(-1.0, 1.0, domain.dim)
-
-    def fn(p):
-        out = const
-        for j in range(domain.dim):
-            out = out + slope[j] * p[j]
-        return out
-
-    return ScalarField(domain, fn, mode="dual")
+    return random_linear_section(domain, 1, rng).components[0]
 
 
 def _record(name: str, residual: float, tolerance: float, **extra) -> dict:
@@ -71,11 +62,13 @@ def check_admissibility(bundle: AnchorBundle, curves) -> list[dict]:
     ]
 
 
-def check_partial_connection(conn: Connection, points, rng: np.random.Generator) -> dict:
+def check_partial_connection(
+    conn: Connection, points, rng: np.random.Generator, rel_tol: float = RANK_REL_TOL
+) -> dict:
     witness = None
     passed = True
     for x in points:
-        ok, report = partial_connection_test(conn, x, rng=rng)
+        ok, report = partial_connection_test(conn, x, rng=rng, rel_tol=rel_tol)
         if not ok:
             passed = False
             witness = {"x": report["x"], "y": report["witness"]}
@@ -227,7 +220,7 @@ def run_all(cfg) -> dict:
     checks: list[dict] = []
     checks.extend(check_admissibility(cfg.bundle, cfg.curves))
     if cfg.connection is not None:
-        checks.append(check_partial_connection(cfg.connection, points, rng))
+        checks.append(check_partial_connection(cfg.connection, points, rng, cfg.tolerances["rank_rel_tol"]))
         checks.append(check_lift_linearity(cfg.connection, rng, samples=20))
     hom_record = None
     if cfg.structure is not None:

@@ -238,7 +238,7 @@ def cmd_torsion(args) -> int:
 def cmd_describe(args) -> int:
     cfg = _load(args)
     center = cfg.bundle.base.center()
-    rank, kernel = cfg.bundle.rank_kernel_at(center)
+    rank, kernel = cfg.bundle.rank_kernel_at(center, cfg.tolerances["rank_rel_tol"])
     payload = {
         "command": "describe",
         "gallery": cfg.gallery,

@@ -12,6 +12,7 @@ derivative operator.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,19 +128,6 @@ class LinearConnection:
             return sum(entries[B].gen(xs) * values[n + B] for B in range(l))
 
         return fn
-
-    def to_general(self) -> "GeneralConnection":
-        n, l = self.bundle.n, self.l
-        dual = self.supports_dual
-        ext = self.bundle.base.extend(_fiber_box(l, 1e6))
-        entries = [
-            [
-                ScalarField(ext, self.component_gen(A, a), mode="dual" if dual else "fd", step=NESTED_FD_STEP)
-                for a in range(self.bundle.k)
-            ]
-            for A in range(l)
-        ]
-        return GeneralConnection(self.bundle, l, entries)
 
 
 class GeneralConnection:
@@ -277,6 +265,15 @@ def connection_map(conn: Connection, e, nvec, w, tol: float = ADMISSIBILITY_TOL)
 # -- coordinate transformation ---------------------------------------------
 
 
+def _memo_by_point(fn: Callable) -> Callable:
+    """``fn`` of a point, memoised on the point's coordinates for the last 64 points.
+
+    Every entry field of a transformed object reads one per-point evaluation.
+    """
+    cached = functools.lru_cache(maxsize=64)(lambda key: fn(np.array(key)))
+    return lambda p: cached(tuple(np.asarray(p, dtype=float).tolist()))
+
+
 class BundleChange:
     """Fiberwise-linear coordinate change of base, fiber and anchored bundle.
 
@@ -322,18 +319,19 @@ class BundleChange:
         """Change undoing this one, defined on the target domain."""
         src = self
 
-        def entry(i, j, mat):
-            def fn(p):
-                x = src.inverse(p)
-                m = mat.value(x)
-                return float(np.linalg.inv(m)[i, j])
-
-            return fn
+        @_memo_by_point
+        def inverses_at(p) -> tuple[np.ndarray, np.ndarray]:
+            x = src.inverse(p)
+            return np.linalg.inv(src.xi.value(x)), np.linalg.inv(src.lam.value(x))
 
         l, k = src.xi.rows, src.lam.rows
         dom = src.target_domain
-        xi_inv = MatrixField([[ScalarField(dom, entry(i, j, src.xi), mode="fd") for j in range(l)] for i in range(l)])
-        lam_inv = MatrixField([[ScalarField(dom, entry(i, j, src.lam), mode="fd") for j in range(k)] for i in range(k)])
+
+        def entry(which, i, j):
+            return ScalarField(dom, lambda p: float(inverses_at(p)[which][i, j]), mode="fd")
+
+        xi_inv = MatrixField([[entry(0, i, j) for j in range(l)] for i in range(l)])
+        lam_inv = MatrixField([[entry(1, i, j) for j in range(k)] for i in range(k)])
         xbar = None
         xbar_inverse = None
         if src.xbar is not None:
@@ -365,12 +363,9 @@ def transform_connection(conn: LinearConnection, change: BundleChange) -> Linear
     if change.xi.rows != conn.l or change.lam.rows != conn.bundle.k:
         raise ShapeError("change matrices do not match the connection shapes")
     n, k, l = conn.bundle.n, conn.bundle.k, conn.l
-    cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
+    @_memo_by_point
     def data_at(p) -> tuple[np.ndarray, np.ndarray]:
-        key = tuple(np.asarray(p, dtype=float))
-        if key in cache:
-            return cache[key]
         x = change.inverse(p)
         xi = change.xi.value(x)
         lam = change.lam.value(x)
@@ -382,10 +377,7 @@ def transform_connection(conn: LinearConnection, change: BundleChange) -> Linear
         mid = np.einsum("jAC,jb->bAC", dxi, gam) + np.einsum("AD,bDC->bAC", xi, coeff)
         new_coeff = np.einsum("bAC,CB,ba->aAB", mid, xi_inv, lam_inv)
         new_gam = change.base_jacobian(x) @ gam @ lam_inv
-        if len(cache) > 64:
-            cache.clear()
-        cache[key] = (new_gam, new_coeff)
-        return cache[key]
+        return new_gam, new_coeff
 
     dom = change.target_domain
     gamma_field = MatrixField(

@@ -19,7 +19,7 @@ FD_MATCH_TOL = 1e-5
 ADMISSIBILITY_TOL = 1e-6
 ADMISSIBILITY_TOL_SAMPLED = 1e-3
 
-# Pivot threshold for numerical rank, relative to the largest pivot.
+# Threshold for numerical rank, relative to the largest singular value.
 RANK_REL_TOL = 1e-9
 
 # Anchor-homomorphism residual gates per derivative mode.

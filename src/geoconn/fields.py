@@ -71,8 +71,9 @@ class CoordDomain:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             return False
-        for v, (lo, hi) in zip(point, self.bounds):
-            if v < lo - 1e-12 + margin or v > hi + 1e-12 - margin:
+        # Written as lo <= v <= hi so that a NaN coordinate fails.
+        for v, (lo, hi) in zip(point.tolist(), self.bounds):
+            if not lo - 1e-12 + margin <= v <= hi + 1e-12 - margin:
                 return False
         return True
 
@@ -81,7 +82,7 @@ class CoordDomain:
         point = np.asarray(point, dtype=float)
         if point.ndim == 2 and point.shape[1] == self.dim:
             lo, hi = np.array(self.bounds).T
-            out = ((point < lo - 1e-12 + margin) | (point > hi + 1e-12 - margin)).any(axis=1)
+            out = ~((lo - 1e-12 + margin <= point) & (point <= hi + 1e-12 - margin)).all(axis=1)
             if out.any():
                 raise DomainError(f"point {point[np.argmax(out)].tolist()} outside domain {self.bounds}")
             return point

@@ -1,8 +1,10 @@
-"""Rank, kernel and subspace arithmetic for small dense matrices.
+"""Rank, kernel and subspace arithmetic for small dense matrices, by SVD.
 
-Fibers in this library are tiny (a handful of dimensions), so a fully pivoted
-Gaussian elimination with a pivot threshold relative to the largest pivot is
-adequate and keeps the core free of external solver dependencies.
+The numerical rank is the number of singular values above ``rel_tol`` times
+the largest one (zero for the zero matrix).  The column span is spanned by
+the leading left singular vectors and the kernel by the trailing right ones,
+both orthonormal by construction (Golub and Van Loan, *Matrix Computations*,
+sections 2.4 and 6.4).
 """
 
 from __future__ import annotations
@@ -12,115 +14,29 @@ import numpy as np
 from .defaults import RANK_REL_TOL
 
 
-def rank_kernel(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> tuple[int, np.ndarray]:
-    """Numerical rank and orthonormal kernel basis of ``mat``.
-
-    Elimination with full pivoting; a pivot below ``rel_tol`` times the first
-    (largest) pivot terminates the sweep.  Returns ``(rank, kernel)`` with
-    ``kernel`` of shape ``(cols, cols - rank)``.
-    """
-    a = np.array(mat, dtype=float)
+def _bases(mat, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases ``(span, kernel)`` of the column space and the kernel of ``mat``."""
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
-        raise ValueError("rank_kernel expects a matrix")
-    m, n = a.shape
-    row_perm = list(range(m))
-    col_perm = list(range(n))
-    rank = 0
-    threshold = 0.0
-    for step in range(min(m, n)):
-        sub = np.abs(a[step:, step:])
-        i_rel, j_rel = np.unravel_index(np.argmax(sub), sub.shape)
-        pivot = sub[i_rel, j_rel]
-        if step == 0:
-            threshold = rel_tol * pivot
-        if pivot <= threshold or pivot == 0.0:
-            break
-        pi, pj = step + i_rel, step + j_rel
-        a[[step, pi], :] = a[[pi, step], :]
-        a[:, [step, pj]] = a[:, [pj, step]]
-        row_perm[step], row_perm[pi] = row_perm[pi], row_perm[step]
-        col_perm[step], col_perm[pj] = col_perm[pj], col_perm[step]
-        a[step + 1 :, step] /= a[step, step]
-        a[step + 1 :, step + 1 :] -= np.outer(a[step + 1 :, step], a[step, step + 1 :])
-        a[step + 1 :, step] = 0.0
-        rank += 1
-
-    null_dim = n - rank
-    kernel = np.zeros((n, null_dim))
-    if null_dim:
-        u = a[:rank, :rank]
-        for f in range(null_dim):
-            vec = np.zeros(n)
-            vec[rank + f] = 1.0
-            if rank:
-                rhs = -a[:rank, rank + f]
-                z = np.zeros(rank)
-                for i in range(rank - 1, -1, -1):
-                    z[i] = (rhs[i] - u[i, i + 1 :] @ z[i + 1 :]) / u[i, i]
-                vec[:rank] = z
-            # Undo the column permutation.
-            out = np.zeros(n)
-            for pos, orig in enumerate(col_perm):
-                out[orig] = vec[pos]
-            kernel[:, f] = out
-        kernel, _ = np.linalg.qr(kernel)
-        kernel = kernel[:, :null_dim]
-    return rank, kernel
+        raise ValueError("expected a matrix")
+    left, s, vt = np.linalg.svd(a)
+    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size else 0
+    return left[:, :rank], vt[rank:].T
 
 
-def rank_of(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    return rank_kernel(mat, rel_tol)[0]
-
-
-def orthonormal_columns(vectors: np.ndarray, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span, by modified Gram-Schmidt.
-
-    Columns whose residual drops below ``rel_tol`` times the largest column
-    norm are discarded; the second orthogonalisation pass keeps the result
-    stable for the tiny, possibly ill-scaled sets used here.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.size == 0:
-        return vectors.reshape(vectors.shape[0] if vectors.ndim == 2 else 0, 0)
-    scale = max(np.linalg.norm(vectors[:, j]) for j in range(vectors.shape[1]))
-    if scale == 0.0:
-        return np.zeros((vectors.shape[0], 0))
-    basis: list[np.ndarray] = []
-    for j in range(vectors.shape[1]):
-        v = vectors[:, j].copy()
-        for _ in range(2):
-            for b in basis:
-                v -= (b @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > rel_tol * scale:
-            basis.append(v / norm)
-    if not basis:
-        return np.zeros((vectors.shape[0], 0))
-    return np.stack(basis, axis=1)
-
-
-def column_space_dim(vectors: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """Dimension of the span of the columns of ``vectors`` (may be empty)."""
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.size == 0:
-        return 0
-    return rank_of(vectors, rel_tol)
+def rank_kernel(mat: np.ndarray, rel_tol: float = RANK_REL_TOL) -> tuple[int, np.ndarray]:
+    """Numerical rank and orthonormal kernel basis, shape ``(cols, cols - rank)``."""
+    span, kernel = _bases(mat, rel_tol)
+    return span.shape[1], kernel
 
 
 def intersection_dim(u: np.ndarray, v: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
-    """dim(span(u) ∩ span(v)) by rank arithmetic on orthonormalised spans."""
-    ub = orthonormal_columns(u, rel_tol)
-    vb = orthonormal_columns(v, rel_tol)
-    if ub.shape[1] == 0 or vb.shape[1] == 0:
-        return 0
-    stacked = np.hstack([ub, vb])
-    return ub.shape[1] + vb.shape[1] - column_space_dim(stacked, rel_tol)
+    """dim(span(u) ∩ span(v)) by rank arithmetic on orthonormal bases of the spans."""
+    ub, vb = _bases(u, rel_tol)[0], _bases(v, rel_tol)[0]
+    return ub.shape[1] + vb.shape[1] - _bases(np.hstack([ub, vb]), rel_tol)[0].shape[1]
 
 
 def spans_whole_space(u: np.ndarray, v: np.ndarray, dim: int, rel_tol: float = RANK_REL_TOL) -> bool:
     """Whether the columns of ``u`` and ``v`` together span R^dim."""
-    cols = [orthonormal_columns(m, rel_tol) for m in (u, v) if np.asarray(m).size]
-    cols = [m for m in cols if m.shape[1]]
-    if not cols:
-        return dim == 0
-    return column_space_dim(np.hstack(cols), rel_tol) == dim
+    joint = np.hstack([_bases(u, rel_tol)[0], _bases(v, rel_tol)[0]])
+    return _bases(joint, rel_tol)[0].shape[1] == dim

@@ -95,6 +95,48 @@ def _heisenberg_with_curve(tmp_path, **curve):
     return str(path)
 
 
+def _diagonal_anchor_config(tmp_path, **tolerances):
+    """Anchor diag(1, 0.1) whose lift lifts the short anchor direction to a unit fiber vector."""
+    doc = {
+        "schema_version": 1,
+        "dims": {"n": 2, "k": 2, "l": 1},
+        "box": [[-1, 1], [-1, 1]],
+        "anchor": [["1", "0"], ["0", "0.1"]],
+        "connection": [[["0"]], [["1"]]],
+        "tolerances": tolerances,
+        "seed": 12345,
+    }
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestRankTolConfig:
+    # At rank_rel_tol 0.5 the singular value 0.1 of the anchor is dropped, so
+    # its kernel is one-dimensional, but the lift at y = 1 has full rank.
+
+    def test_rank_rel_tol_override_applied_by_check(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "check", "--config", _diagonal_anchor_config(tmp_path), "--deterministic")
+        partial = next(c for c in json.loads(out)["checks"] if c["name"] == "partial_connection")
+        assert partial["passed"] is True
+
+        code, out, _ = run(capsys, "check", "--config", _diagonal_anchor_config(tmp_path, rank_rel_tol=0.5), "--deterministic")
+        report = json.loads(out)
+        assert report["tolerances"]["rank_rel_tol"] == 0.5
+        partial = next(c for c in report["checks"] if c["name"] == "partial_connection")
+        assert partial["passed"] is False
+        assert partial["witness"] is not None
+        assert code == 1
+
+    def test_rank_rel_tol_override_applied_by_describe(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "describe", "--config", _diagonal_anchor_config(tmp_path, rank_rel_tol=0.5), "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        assert report["tolerances"]["rank_rel_tol"] == 0.5
+        assert report["anchor_rank_at_center"] == 1
+        assert report["anchor_kernel_dim_at_center"] == 1
+
+
 class TestCurveConfig:
     def test_admissibility_tol_override_applied_by_check(self, tmp_path, capsys):
         code, out, _ = run(capsys, "check", "--config", _override_admissibility_tol(tmp_path, 2.0), "--deterministic")

@@ -198,6 +198,26 @@ class TestTransform:
             assert np.max(np.abs(back.coeff_tensor(x) - conn.coeff_tensor(x))) < 1e-6
             assert np.max(np.abs(back.bundle.anchor_matrix(x) - bundle.anchor_matrix(x))) < 1e-6
 
+    def test_inverted_change_inverts_once_per_point(self, monkeypatch):
+        dom = CoordDomain.cube(1, -1, 1)
+        xi = to_matrix_field([["exp(x0)", "x0"], ["0", "2"]], dom)
+        lam = to_matrix_field([["1", "0"], ["x0", "1 + x0^2"]], dom)
+        inverse = BundleChange(dom, xi, lam).inverted()
+        real_inv = np.linalg.inv
+        calls = []
+
+        def counting_inv(mat):
+            calls.append(mat)
+            return real_inv(mat)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        x = np.array([0.3])
+        xi_inv = inverse.xi.value(x)
+        lam_inv = inverse.lam.value(x)
+        assert len(calls) == 2
+        assert np.allclose(xi_inv @ xi.value(x), np.eye(2), atol=1e-14)
+        assert np.allclose(lam_inv @ lam.value(x), np.eye(2), atol=1e-14)
+
     def test_base_diffeomorphism_linear(self):
         # xbar = 2x + 1 with constant fiber changes: the anchor picks up the
         # Jacobian, coefficients stay zero.

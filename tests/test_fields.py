@@ -33,6 +33,19 @@ class TestDomain:
         with pytest.raises(DomainError):
             dom.require([0.0, 5.0])
 
+    def test_nan_point_rejected(self):
+        dom = CoordDomain.cube(2)
+        assert not dom.contains([np.nan, 0.0])
+        assert not dom.contains([0.0, np.nan])
+        with pytest.raises(DomainError):
+            dom.require(np.array([0.0, np.nan]))
+
+    def test_nan_row_in_batch_rejected(self):
+        dom = CoordDomain.cube(1)
+        with pytest.raises(DomainError):
+            dom.require(np.array([[0.5], [np.nan]]))
+        assert dom.require(np.array([[0.5], [-0.5]])).shape == (2, 1)
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ShapeError):
             CoordDomain.box([[1, 1]])
