@@ -11,7 +11,7 @@ import numpy as np
 
 from .bundle import AnchorBundle
 from .connection import Connection, LinearConnection, lift, partial_connection_test
-from .defaults import ANCHOR_HOM_TOL, RANK_REL_TOL
+from .defaults import RANK_REL_TOL
 from .derivative import nabla
 from .fields import CoordDomain, ScalarField, VectorField, add_sections, scale_section
 from .prelie import (
@@ -73,7 +73,7 @@ def check_partial_connection(
             passed = False
             witness = {"x": report["x"], "y": report["witness"]}
             break
-    return {"name": "partial_connection", "passed": passed, "witness": witness}
+    return {"name": "partial_connection", "passed": passed, "tolerance": rel_tol, "witness": witness}
 
 
 def check_anchor_hom(struct: PreLieStructure, points, tol: float) -> dict:
@@ -81,7 +81,7 @@ def check_anchor_hom(struct: PreLieStructure, points, tol: float) -> dict:
     return _record("anchor_hom", residual, tol)
 
 
-def check_lift_linearity(conn: Connection, rng: np.random.Generator, samples: int, tol: float = 1e-10) -> dict:
+def check_lift_linearity(conn: Connection, rng: np.random.Generator, samples: int) -> dict:
     """Additivity and function-linearity of the section lift, and the
     projection property of its base component."""
     dom = conn.bundle.base
@@ -103,10 +103,10 @@ def check_lift_linearity(conn: Connection, rng: np.random.Generator, samples: in
         worst = max(worst, float(np.max(np.abs(dxf - fv * dx1))), float(np.max(np.abs(dyf - fv * dy1))))
         rho = conn.bundle.anchor_matrix(x) @ s1.value(x)
         worst = max(worst, float(np.max(np.abs(dx1 - rho))))
-    return _record("lift_linearity", worst, tol)
+    return _record("lift_linearity", worst, 1e-10)
 
 
-def check_star_leibniz(struct: PreLieStructure, rng: np.random.Generator, samples: int, tol: float = 1e-6) -> dict:
+def check_star_leibniz(struct: PreLieStructure, rng: np.random.Generator, samples: int) -> dict:
     """Derivation rule of the product in its second argument."""
     dom = struct.bundle.base
     k = struct.bundle.k
@@ -120,10 +120,10 @@ def check_star_leibniz(struct: PreLieStructure, rng: np.random.Generator, sample
         rho_s1 = gamma.value(x) @ s1.value(x)
         rhs = f.value(x) * star_product(struct, s1, s2, x) + (rho_s1 @ f.gradient(x)) * s2.value(x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _record("star_leibniz", worst, tol)
+    return _record("star_leibniz", worst, 1e-6)
 
 
-def check_derivative_axioms(conn: LinearConnection, rng: np.random.Generator, samples: int, tol: float = 1e-6) -> dict:
+def check_derivative_axioms(conn: LinearConnection, rng: np.random.Generator, samples: int) -> dict:
     """Bilinearity, function-linearity in the direction and the product rule."""
     dom = conn.bundle.base
     k, l = conn.bundle.k, conn.l
@@ -160,7 +160,7 @@ def check_derivative_axioms(conn: LinearConnection, rng: np.random.Generator, sa
             - (rho_s1 @ f.gradient(x)) * psi1.value(x)
         )
         worst = max(worst, float(np.max(np.abs(leibniz))))
-    return _record("derivative_axioms", worst, tol)
+    return _record("derivative_axioms", worst, 1e-6)
 
 
 def check_bracket_defect(
@@ -168,15 +168,14 @@ def check_bracket_defect(
     struct: PreLieStructure,
     rng: np.random.Generator,
     samples: int,
-    base_tol: float = 1e-6,
-    fiber_tol: float = 1e-5,
-    hom_tol: float = ANCHOR_HOM_TOL,
+    hom_tol: float,
 ) -> dict:
     """Vertical defect of lifted brackets against the curvature contraction.
 
     The defect fiber equals the curvature contracted in reversed argument
     order (the lift-image orientation), so the residual measured here is
-    ``defect + R(s1, s2) y``.
+    ``defect + R(s1, s2) y``.  ``hom_tol`` bounds the anchor-homomorphism
+    residual the defect formula may assume.
     """
     dom = conn.bundle.base
     k = conn.bundle.k
@@ -191,14 +190,12 @@ def check_bracket_defect(
         contraction = contract_curvature(comp, s1.value(x), s2.value(x), y)
         worst_base = max(worst_base, defect.base_max)
         worst_fiber = max(worst_fiber, float(np.max(np.abs(defect.fiber + contraction))))
-    rec = _record("bracket_defect", worst_fiber, fiber_tol)
-    rec["base_residual"] = worst_base
-    rec["base_tolerance"] = base_tol
-    rec["passed"] = bool(rec["passed"] and worst_base <= base_tol)
+    rec = _record("bracket_defect", worst_fiber, 1e-5, base_residual=worst_base, base_tolerance=1e-6)
+    rec["passed"] = bool(rec["passed"] and worst_base <= rec["base_tolerance"])
     return rec
 
 
-def check_torsion_components(conn: LinearConnection, struct: PreLieStructure, points, tol: float = 1e-8) -> dict:
+def check_torsion_components(conn: LinearConnection, struct: PreLieStructure, points) -> dict:
     """Frame-section torsion against the component formula."""
     dom = conn.bundle.base
     k = conn.bundle.k
@@ -210,28 +207,29 @@ def check_torsion_components(conn: LinearConnection, struct: PreLieStructure, po
             for b in range(k):
                 direct = torsion(conn, struct, basis[a], basis[b], x)
                 worst = max(worst, float(np.max(np.abs(direct - comps[a, b]))))
-    return _record("torsion_components", worst, tol)
+    return _record("torsion_components", worst, 1e-8)
 
 
 def run_all(cfg) -> dict:
     """Run every check the configured objects support; aggregate a report."""
     rng = np.random.default_rng(cfg.seed)
+    tol = cfg.tolerances
     points = list(cfg.points) if cfg.points else [p for p in cfg.bundle.base.sample(rng, 5)]
     checks: list[dict] = []
     checks.extend(check_admissibility(cfg.bundle, cfg.curves))
     if cfg.connection is not None:
-        checks.append(check_partial_connection(cfg.connection, points, rng, cfg.tolerances["rank_rel_tol"]))
+        checks.append(check_partial_connection(cfg.connection, points, rng, tol.rank_rel_tol))
         checks.append(check_lift_linearity(cfg.connection, rng, samples=20))
     hom_record = None
     if cfg.structure is not None:
-        hom_record = check_anchor_hom(cfg.structure, points, cfg.tolerances["anchor_hom_tol"])
+        hom_record = check_anchor_hom(cfg.structure, points, tol.anchor_hom_tol)
         checks.append(hom_record)
         checks.append(check_star_leibniz(cfg.structure, rng, samples=20))
     if cfg.connection is not None and isinstance(cfg.connection, LinearConnection):
         checks.append(check_derivative_axioms(cfg.connection, rng, samples=20))
         if cfg.structure is not None:
-            if hom_record is not None and hom_record["passed"]:
-                checks.append(check_bracket_defect(cfg.connection, cfg.structure, rng, samples=10))
+            if hom_record["passed"]:
+                checks.append(check_bracket_defect(cfg.connection, cfg.structure, rng, 10, tol.anchor_hom_tol))
             if cfg.connection.l == cfg.bundle.k:
                 checks.append(check_torsion_components(cfg.connection, cfg.structure, points))
     return {

@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``check``, ``transport``, ``nabla``, ``curvature``, ``torsion``,
-``describe``.  Every output embeds the seed, tolerances and step sizes used;
-with ``--deterministic`` the report is byte-identical across reruns of the
-same config.  Exit codes: 0 pass, 1 check failure, 2 config error, 3
-runtime/numeric error.
+``describe``.  Every JSON report embeds the seed and the tolerances, and a
+transport report its step count; with ``--deterministic`` the report is
+byte-identical across reruns of the same config.  Exit codes: 0 pass, 1 check
+failure, 2 config or usage error, 3 runtime/numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
@@ -20,7 +21,6 @@ from . import checks as checkmod
 from . import config as configmod
 from .bundle import AdmissibilityError
 from .connection import LinearConnection
-from .defaults import TRANSPORT_STEPS_PER_UNIT
 from .fields import GeoconnError
 from .prelie import anchor_hom_residual, curvature_components, torsion_components
 from .derivative import nabla
@@ -69,17 +69,11 @@ def _load(args) -> configmod.RunConfig:
     cfg = configmod.load(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.steps is not None:
-        cfg.steps = args.steps
     return cfg
 
 
 def _meta(cfg: configmod.RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "steps": cfg.steps if cfg.steps is not None else TRANSPORT_STEPS_PER_UNIT,
-        "tolerances": cfg.tolerances,
-    }
+    return {"seed": cfg.seed, "tolerances": dataclasses.asdict(cfg.tolerances)}
 
 
 def cmd_check(args) -> int:
@@ -100,7 +94,7 @@ def cmd_transport(args) -> int:
     if cfg.connection is None or not isinstance(cfg.connection, LinearConnection):
         raise configmod.ConfigError("$.connection", "transport needs a linear connection")
     curve = cfg.curves[args.curve_index]
-    steps = cfg.steps or getattr(curve, "steps", None)
+    steps = args.steps or cfg.steps or getattr(curve, "steps", None)
     y0 = np.array([float(v) for v in args.y0.split(",")]) if args.y0 else np.eye(cfg.connection.l)[0]
     result = lift_curve(cfg.connection, curve, y0, steps)
     payload = {
@@ -111,9 +105,9 @@ def cmd_transport(args) -> int:
         "step_count": result.step_count,
         "y0": y0,
         "y1": result.final_fiber(),
+        "steps": result.step_count,
     }
     payload.update(_meta(cfg))
-    payload["steps"] = result.step_count
     if args.samples:
         columns = (
             ["t"]
@@ -135,10 +129,12 @@ def cmd_transport(args) -> int:
     return 0
 
 
-def _grid_points(cfg: configmod.RunConfig, per_axis: int) -> np.ndarray:
+def _grid_points(cfg: configmod.RunConfig, per_axis: int | None) -> np.ndarray:
     if cfg.points:
+        if per_axis is not None:
+            raise configmod.ConfigError("$.points", "--grid conflicts with the configured points")
         return np.stack(cfg.points)
-    return cfg.bundle.base.grid(per_axis)
+    return cfg.bundle.base.grid(3 if per_axis is None else per_axis)
 
 
 def cmd_nabla(args) -> int:
@@ -165,71 +161,40 @@ def cmd_nabla(args) -> int:
     return 0
 
 
-def _component_table(cfg, args, kind: str) -> tuple[list[str], list[list], list[dict]]:
-    conn = cfg.connection
-    struct = cfg.structure
-    n = cfg.bundle.n
-    points = _grid_points(cfg, args.grid)
-    hom_tol = cfg.tolerances["anchor_hom_tol"]
-    columns = [f"x{i}" for i in range(n)]
+def _component_table(cfg, per_axis: int | None, kind: str) -> tuple[list[str], list[list], list[dict]]:
+    components, indices = {
+        "curvature": (curvature_components, ["alpha", "beta", "B", "A"]),
+        "torsion": (torsion_components, ["alpha", "beta", "lam"]),
+    }[kind]
+    hom_tol = cfg.tolerances.anchor_hom_tol
     rows: list[list] = []
     flags: list[dict] = []
-    for x in points:
-        residual = anchor_hom_residual(struct, x)
+    for x in _grid_points(cfg, per_axis):
+        residual = anchor_hom_residual(cfg.structure, x)
         tensorial = residual <= hom_tol
         if not tensorial:
             flags.append({"x": x.tolist(), "anchor_hom_residual": residual})
-        if kind == "curvature":
-            comps = curvature_components(conn, struct, x)
-            k, l = cfg.bundle.k, conn.l
-            for a in range(k):
-                for b in range(k):
-                    for big_b in range(l):
-                        for big_a in range(l):
-                            rows.append([*x, a, b, big_b, big_a, float(comps[a, b, big_b, big_a]), tensorial])
-        else:
-            comps = torsion_components(conn, struct, x)
-            k = cfg.bundle.k
-            for a in range(k):
-                for b in range(k):
-                    for lam in range(k):
-                        rows.append([*x, a, b, lam, float(comps[a, b, lam]), tensorial])
-    if kind == "curvature":
-        columns += ["alpha", "beta", "B", "A", "value", "tensorial"]
-    else:
-        columns += ["alpha", "beta", "lam", "value", "tensorial"]
+        comps = components(cfg.connection, cfg.structure, x)
+        rows.extend([*x, *idx, float(comps[idx]), tensorial] for idx in np.ndindex(comps.shape))
+    columns = [f"x{i}" for i in range(cfg.bundle.n)] + indices + ["value", "tensorial"]
     return columns, rows, flags
 
 
-def cmd_curvature(args) -> int:
+def cmd_components(args) -> int:
+    """``curvature`` and ``torsion``: a component table on a grid."""
     cfg = _load(args)
+    kind = args.command
     if cfg.connection is None or not isinstance(cfg.connection, LinearConnection):
-        raise configmod.ConfigError("$.connection", "curvature needs a linear connection")
+        raise configmod.ConfigError("$.connection", f"{kind} needs a linear connection")
     if cfg.structure is None:
-        raise configmod.ConfigError("$.structure", "curvature needs structure functions")
-    columns, rows, flags = _component_table(cfg, args, "curvature")
-    if args.format == "csv":
-        _emit(_csv_table(columns, rows), args.out)
-    else:
-        payload = {"command": "curvature", "columns": columns, "rows": rows, "non_tensorial_points": flags}
-        payload.update(_meta(cfg))
-        _emit(_json_report(payload, args), args.out)
-    return 0
-
-
-def cmd_torsion(args) -> int:
-    cfg = _load(args)
-    if cfg.connection is None or not isinstance(cfg.connection, LinearConnection):
-        raise configmod.ConfigError("$.connection", "torsion needs a linear connection")
-    if cfg.structure is None:
-        raise configmod.ConfigError("$.structure", "torsion needs structure functions")
-    if cfg.connection.l != cfg.bundle.k:
+        raise configmod.ConfigError("$.structure", f"{kind} needs structure functions")
+    if kind == "torsion" and cfg.connection.l != cfg.bundle.k:
         raise configmod.ConfigError("$.connection", "torsion needs a connection on the anchored bundle (l == k)")
-    columns, rows, flags = _component_table(cfg, args, "torsion")
+    columns, rows, flags = _component_table(cfg, args.grid, kind)
     if args.format == "csv":
         _emit(_csv_table(columns, rows), args.out)
     else:
-        payload = {"command": "torsion", "columns": columns, "rows": rows, "non_tensorial_points": flags}
+        payload = {"command": kind, "columns": columns, "rows": rows, "non_tensorial_points": flags}
         payload.update(_meta(cfg))
         _emit(_json_report(payload, args), args.out)
     return 0
@@ -238,7 +203,7 @@ def cmd_torsion(args) -> int:
 def cmd_describe(args) -> int:
     cfg = _load(args)
     center = cfg.bundle.base.center()
-    rank, kernel = cfg.bundle.rank_kernel_at(center, cfg.tolerances["rank_rel_tol"])
+    rank, kernel = cfg.bundle.rank_kernel_at(center, cfg.tolerances.rank_rel_tol)
     payload = {
         "command": "describe",
         "gallery": cfg.gallery,
@@ -252,7 +217,7 @@ def cmd_describe(args) -> int:
     }
     if cfg.structure is not None:
         payload["anchor_hom_residual_at_center"] = anchor_hom_residual(cfg.structure, center)
-        payload["anchor_hom_tol"] = cfg.tolerances["anchor_hom_tol"]
+        payload["anchor_hom_tol"] = cfg.tolerances.anchor_hom_tol
     payload.update(_meta(cfg))
     _emit(_json_report(payload, args), args.out)
     return 0
@@ -265,36 +230,37 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="path to a JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--steps", type=int, default=None, help="override integrator steps")
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--deterministic", action="store_true", help="omit the timestamp for byte-identical reruns")
+
+    def table(p):
+        common(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def grid(p):
+        table(p)
+        p.add_argument("--grid", type=int, default=None, help="points per axis (default 3); not with configured points")
 
     p = sub.add_parser("check", help="run the verification suite of the configured objects")
     common(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("transport", help="parallel transport along a configured curve")
-    common(p)
+    table(p)
+    p.add_argument("--steps", type=int, default=None, help="override integrator steps")
     p.add_argument("--curve-index", type=int, default=0)
     p.add_argument("--y0", default=None, help="comma-separated initial fiber vector")
     p.add_argument("--samples", default=None, help="write sampled lift points to this CSV path")
     p.set_defaults(fn=cmd_transport)
 
     p = sub.add_parser("nabla", help="derivative of a configured section pair on a grid")
-    common(p)
-    p.add_argument("--grid", type=int, default=3, help="grid points per axis when no points are configured")
+    grid(p)
     p.set_defaults(fn=cmd_nabla)
 
-    p = sub.add_parser("curvature", help="curvature component table on a grid")
-    common(p)
-    p.add_argument("--grid", type=int, default=3)
-    p.set_defaults(fn=cmd_curvature)
-
-    p = sub.add_parser("torsion", help="torsion component table on a grid")
-    common(p)
-    p.add_argument("--grid", type=int, default=3)
-    p.set_defaults(fn=cmd_torsion)
+    for kind in ("curvature", "torsion"):
+        p = sub.add_parser(kind, help=f"{kind} component table on a grid")
+        grid(p)
+        p.set_defaults(fn=cmd_components)
 
     p = sub.add_parser("describe", help="summarise the configured objects")
     common(p)

@@ -8,7 +8,7 @@ points.  Errors carry the document path at which they were detected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -16,8 +16,8 @@ import numpy as np
 from . import expr as ex
 from .bundle import AdmissibleCurve, AnchorBundle
 from .connection import GeneralConnection, LinearConnection
-from .defaults import DEFAULT_SEED, tolerance_table
-from .fields import CoordDomain, GeoconnError, ScalarField, VectorField
+from .defaults import DEFAULT_SEED, Tolerances
+from .fields import CoordDomain, GeoconnError, VectorField
 from .gallery import GalleryCase, by_name, gallery_names
 from .prelie import PreLieStructure
 
@@ -39,13 +39,11 @@ class RunConfig:
     structure: PreLieStructure | None
     curves: list[AdmissibleCurve]
     sections: dict[str, VectorField]
-    scalars: dict[str, ScalarField]
     points: list[np.ndarray]
     seed: int
     steps: int | None
-    tolerances: dict[str, float]
+    tolerances: Tolerances
     gallery: str | None
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 def _expect(doc: dict, key: str, path: str) -> Any:
@@ -130,26 +128,25 @@ def build(doc: dict) -> RunConfig:
         except (ex.ParseError, GeoconnError) as err:
             raise ConfigError("$.structure", str(err)) from err
 
-    tolerances = tolerance_table()
-    for name, value in doc.get("tolerances", {}).items():
-        if name not in tolerances:
-            raise ConfigError(f"$.tolerances.{name}", f"unknown tolerance; know {sorted(tolerances)}")
-        tolerances[name] = float(value)
+    known = sorted(f.name for f in fields(Tolerances))
+    overrides = doc.get("tolerances", {})
+    for name in overrides:
+        if name not in known:
+            raise ConfigError(f"$.tolerances.{name}", f"unknown tolerance; know {known}")
+    tolerances = Tolerances(**{name: float(value) for name, value in overrides.items()})
 
     curves = [
-        _build_curve(spec, f"$.curves[{idx}]", bundle.n, bundle.k, tolerances["admissibility_tol"])
+        _build_curve(spec, f"$.curves[{idx}]", bundle.n, bundle.k, tolerances.admissibility_tol)
         for idx, spec in enumerate(doc.get("curves", []))
     ]
 
     sections: dict[str, VectorField] = {}
-    scalars: dict[str, ScalarField] = {}
     for name, spec in doc.get("sections", {}).items():
         path = f"$.sections.{name}"
+        if not isinstance(spec, list):
+            raise ConfigError(path, f"a section is a list of expressions, got {spec!r}")
         try:
-            if isinstance(spec, (list, tuple)):
-                sections[name] = ex.to_vector_field(spec, bundle.base)
-            else:
-                scalars[name] = ex.to_field(spec, bundle.base)
+            sections[name] = ex.to_vector_field(spec, bundle.base)
         except (ex.ParseError, GeoconnError) as err:
             raise ConfigError(path, str(err)) from err
 
@@ -166,13 +163,11 @@ def build(doc: dict) -> RunConfig:
         structure=structure,
         curves=curves,
         sections=sections,
-        scalars=scalars,
         points=points,
         seed=int(doc.get("seed", DEFAULT_SEED)),
         steps=int(doc["steps"]) if "steps" in doc else None,
         tolerances=tolerances,
         gallery=gallery_name,
-        raw=doc,
     )
 
 

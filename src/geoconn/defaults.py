@@ -1,8 +1,10 @@
 """Default tolerances and step sizes shared across the package.
 
-Every numeric gate in the library references one of these constants so that
-reports can record the exact thresholds a run used.
+``Tolerances`` holds the gates a run config may override; the other
+constants are fixed.
 """
+
+from dataclasses import dataclass
 
 # Central-difference step: FD_STEP_SCALE * max(1, |x_axis|).
 FD_STEP_SCALE = 1e-6
@@ -38,18 +40,10 @@ COND_LIMIT = 1e12
 DEFAULT_SEED = 12345
 
 
-def tolerance_table() -> dict:
-    """All defaults as a dict, for embedding into machine-readable reports."""
-    return {
-        "fd_step_scale": FD_STEP_SCALE,
-        "nested_fd_step": NESTED_FD_STEP,
-        "fd_match_tol": FD_MATCH_TOL,
-        "admissibility_tol": ADMISSIBILITY_TOL,
-        "admissibility_tol_sampled": ADMISSIBILITY_TOL_SAMPLED,
-        "rank_rel_tol": RANK_REL_TOL,
-        "anchor_hom_tol": ANCHOR_HOM_TOL,
-        "anchor_hom_tol_fd": ANCHOR_HOM_TOL_FD,
-        "transport_steps_per_unit": TRANSPORT_STEPS_PER_UNIT,
-        "base_continuity_tol": BASE_CONTINUITY_TOL,
-        "cond_limit": COND_LIMIT,
-    }
+@dataclass(frozen=True)
+class Tolerances:
+    """The gates a run config may override under ``tolerances``."""
+
+    admissibility_tol: float = ADMISSIBILITY_TOL
+    rank_rel_tol: float = RANK_REL_TOL
+    anchor_hom_tol: float = ANCHOR_HOM_TOL

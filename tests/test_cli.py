@@ -163,6 +163,94 @@ class TestCurveConfig:
         assert "Traceback" not in err
 
 
+def _write(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _heisenberg_with(tmp_path, **keys):
+    with open(cfg("heisenberg_lie.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(keys)
+    return _write(tmp_path, doc)
+
+
+class TestSettingsApplied:
+    def test_anchor_hom_tol_override_gates_bracket_defect(self, tmp_path, capsys):
+        # rho = diag(1, 1 + 0.001 x0) with zero structure: [rho e0, rho e1] = 0.001 d/dx1,
+        # so the anchor-homomorphism residual is 1e-3, and it is the base part of the bracket defect.
+        path = _write(tmp_path, {
+            "schema_version": 1,
+            "dims": {"n": 2, "k": 2, "l": 1},
+            "box": [[-1, 1], [-1, 1]],
+            "anchor": [["1", "0"], ["0", "1 + 0.001*x0"]],
+            "connection": [[["0"]], [["0"]]],
+            "structure": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+            "tolerances": {"anchor_hom_tol": 0.01},
+        })
+        code, out, err = run(capsys, "check", "--config", path, "--deterministic")
+        assert code == 1
+        assert "Traceback" not in err
+        report = json.loads(out)
+        hom = next(c for c in report["checks"] if c["name"] == "anchor_hom")
+        assert hom["passed"] is True
+        assert hom["tolerance"] == 0.01
+        assert hom["residual"] == pytest.approx(1e-3)
+        bracket = next(c for c in report["checks"] if c["name"] == "bracket_defect")
+        assert bracket["passed"] is False
+        assert bracket["base_tolerance"] == 1e-6
+        assert 1e-4 < bracket["base_residual"] < 1e-2  # 1e-3 times the random sections' size
+
+    @pytest.mark.parametrize("key", [
+        "fd_step_scale", "nested_fd_step", "fd_match_tol", "admissibility_tol_sampled",
+        "anchor_hom_tol_fd", "transport_steps_per_unit", "base_continuity_tol", "cond_limit",
+    ])
+    def test_tolerance_keys_without_effect_rejected(self, tmp_path, capsys, key):
+        code, _, err = run(capsys, "check", "--config", _heisenberg_with(tmp_path, tolerances={key: 10}))
+        assert code == 2
+        assert f"$.tolerances.{key}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--steps", "10"),
+        ("describe", "--steps", "10"),
+        ("nabla", "--steps", "10"),
+        ("check", "--format", "csv"),
+        ("describe", "--format", "csv"),
+    ])
+    def test_unused_flags_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", cfg("heisenberg_lie.json")])
+        assert exc.value.code == 2
+
+    def test_reports_without_transport_carry_no_steps(self, capsys):
+        _, out, _ = run(capsys, "check", "--config", cfg("heisenberg_lie.json"), "--deterministic")
+        assert "steps" not in json.loads(out)
+
+    def test_transport_steps_flag_applied(self, capsys):
+        code, out, _ = run(capsys, "transport", "--config", cfg("scalar_transport.json"), "--steps", "40", "--deterministic")
+        assert code == 0
+        report = json.loads(out)
+        assert report["steps"] == report["step_count"] == 40
+
+    def test_partial_connection_records_rank_tolerance(self, tmp_path, capsys):
+        _, out, _ = run(capsys, "check", "--config", _heisenberg_with(tmp_path, tolerances={"rank_rel_tol": 1e-7}), "--deterministic")
+        partial = next(c for c in json.loads(out)["checks"] if c["name"] == "partial_connection")
+        assert partial["tolerance"] == 1e-7
+
+    @pytest.mark.parametrize("command", ["nabla", "curvature"])
+    def test_grid_with_configured_points_rejected(self, capsys, command):
+        code, _, err = run(capsys, command, "--config", cfg("heisenberg_lie.json"), "--grid", "2")
+        assert code == 2
+        assert "$.points" in err
+
+    def test_scalar_section_rejected(self, tmp_path, capsys):
+        sections = {"s": ["1", "0", "0"], "psi": ["x0", "1"], "f": "x0"}
+        code, _, err = run(capsys, "nabla", "--config", _heisenberg_with(tmp_path, sections=sections))
+        assert code == 2
+        assert "$.sections.f" in err
+
+
 class TestTransport:
     def test_scalar_exponential_matrix(self, capsys):
         code, out, _ = run(
