@@ -99,8 +99,7 @@ class AnchorBundle:
         if times is None:
             times = np.linspace(curve.t0, curve.t1, 101)
         times = np.asarray(times, dtype=float)
-        xs = self.base.require(curve.x_batch(times))
-        res = curve.xdot_batch(times) - np.einsum("mik,mk->mi", self.gamma.sample(xs), curve.u_batch(times))
+        res = curve.xdot_batch(times) - np.einsum("mik,mk->mi", self.anchor_matrix(curve.x_batch(times)), curve.u_batch(times))
         worst = float(np.max(np.abs(res), initial=0.0))
         if not np.isfinite(worst):
             raise NumericError("admissibility residual is not finite")

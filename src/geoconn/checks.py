@@ -13,7 +13,7 @@ from .bundle import AnchorBundle
 from .connection import Connection, LinearConnection, lift, partial_connection_test
 from .defaults import RANK_REL_TOL
 from .derivative import nabla
-from .fields import CoordDomain, ScalarField, VectorField, add_sections, scale_section
+from .fields import CoordDomain, ScalarField, VectorField, add_sections, matvec, scale_section
 from .prelie import (
     PreLieStructure,
     anchor_hom_residual,
@@ -21,19 +21,25 @@ from .prelie import (
     curvature_components,
     involutivity_defect,
     star_product,
-    star_section,
     torsion,
     torsion_components,
 )
 
 
-def random_linear_section(domain: CoordDomain, size: int, rng: np.random.Generator) -> VectorField:
-    """Section with affine components and exact derivatives."""
-    const = rng.uniform(-1.0, 1.0, size)
-    slope = rng.uniform(-1.0, 1.0, (size, domain.dim))
+def random_linear_section(domain: CoordDomain, size: int, rng: np.random.Generator, count: int | None = None) -> VectorField:
+    """Section with affine components and exact derivatives.
+
+    With ``count``, ``count`` sections are drawn at once: the coefficients
+    carry a leading sample axis, so on a batch of ``count`` points row ``i``
+    evaluates sample ``i``'s own section.
+    """
+    shape = (size,) if count is None else (count, size)
+    # Transposed, so each coefficient is a number or a row over the samples.
+    const = rng.uniform(-1.0, 1.0, shape).T
+    slope = rng.uniform(-1.0, 1.0, shape + (domain.dim,)).T
 
     def comp(i):
-        def fn(p, _a=const[i], _b=slope[i]):
+        def fn(p, _a=const[i], _b=slope[:, i]):
             out = _a
             for j in range(domain.dim):
                 out = out + _b[j] * p[j]
@@ -44,14 +50,18 @@ def random_linear_section(domain: CoordDomain, size: int, rng: np.random.Generat
     return VectorField([comp(i) for i in range(size)])
 
 
-def random_scalar(domain: CoordDomain, rng: np.random.Generator) -> ScalarField:
-    return random_linear_section(domain, 1, rng).components[0]
+def random_scalar(domain: CoordDomain, rng: np.random.Generator, count: int | None = None) -> ScalarField:
+    return random_linear_section(domain, 1, rng, count).components[0]
 
 
 def _record(name: str, residual: float, tolerance: float, **extra) -> dict:
     rec = {"name": name, "residual": residual, "tolerance": tolerance, "passed": bool(residual <= tolerance)}
     rec.update(extra)
     return rec
+
+
+def _worst(*residuals) -> float:
+    return max(float(np.max(np.abs(r))) for r in residuals)
 
 
 def check_admissibility(bundle: AnchorBundle, curves) -> list[dict]:
@@ -77,8 +87,7 @@ def check_partial_connection(
 
 
 def check_anchor_hom(struct: PreLieStructure, points, tol: float) -> dict:
-    residual = max(anchor_hom_residual(struct, x) for x in points)
-    return _record("anchor_hom", residual, tol)
+    return _record("anchor_hom", _worst(anchor_hom_residual(struct, points)), tol)
 
 
 def check_lift_linearity(conn: Connection, rng: np.random.Generator, samples: int) -> dict:
@@ -86,23 +95,18 @@ def check_lift_linearity(conn: Connection, rng: np.random.Generator, samples: in
     projection property of its base component."""
     dom = conn.bundle.base
     k = conn.bundle.k
-    worst = 0.0
-    pts = dom.sample(rng, samples)
-    for x in pts:
-        y = rng.uniform(-2.0, 2.0, conn.l)
-        s1 = random_linear_section(dom, k, rng)
-        s2 = random_linear_section(dom, k, rng)
-        f = random_scalar(dom, rng)
-        e = (x, y)
-        dx1, dy1 = lift(conn, e, s1.value(x))
-        dx2, dy2 = lift(conn, e, s2.value(x))
-        dxs, dys = lift(conn, e, add_sections(s1, s2).value(x))
-        worst = max(worst, float(np.max(np.abs(dxs - dx1 - dx2))), float(np.max(np.abs(dys - dy1 - dy2))))
-        dxf, dyf = lift(conn, e, scale_section(f, s1).value(x))
-        fv = f.value(x)
-        worst = max(worst, float(np.max(np.abs(dxf - fv * dx1))), float(np.max(np.abs(dyf - fv * dy1))))
-        rho = conn.bundle.anchor_matrix(x) @ s1.value(x)
-        worst = max(worst, float(np.max(np.abs(dx1 - rho))))
+    x = dom.sample(rng, samples)
+    e = (x, rng.uniform(-2.0, 2.0, (samples, conn.l)))
+    s1 = random_linear_section(dom, k, rng, samples)
+    s2 = random_linear_section(dom, k, rng, samples)
+    f = random_scalar(dom, rng, samples)
+    dx1, dy1 = lift(conn, e, s1.value(x))
+    dx2, dy2 = lift(conn, e, s2.value(x))
+    dxs, dys = lift(conn, e, add_sections(s1, s2).value(x))
+    dxf, dyf = lift(conn, e, scale_section(f, s1).value(x))
+    fv = f.value(x)[:, None]
+    rho = matvec(conn.bundle.anchor_matrix(x), s1.value(x))
+    worst = _worst(dxs - dx1 - dx2, dys - dy1 - dy2, dxf - fv * dx1, dyf - fv * dy1, dx1 - rho)
     return _record("lift_linearity", worst, 1e-10)
 
 
@@ -110,57 +114,43 @@ def check_star_leibniz(struct: PreLieStructure, rng: np.random.Generator, sample
     """Derivation rule of the product in its second argument."""
     dom = struct.bundle.base
     k = struct.bundle.k
-    gamma = struct.bundle.gamma
-    worst = 0.0
-    for x in dom.sample(rng, samples):
-        s1 = random_linear_section(dom, k, rng)
-        s2 = random_linear_section(dom, k, rng)
-        f = random_scalar(dom, rng)
-        lhs = star_product(struct, s1, scale_section(f, s2), x)
-        rho_s1 = gamma.value(x) @ s1.value(x)
-        rhs = f.value(x) * star_product(struct, s1, s2, x) + (rho_s1 @ f.gradient(x)) * s2.value(x)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _record("star_leibniz", worst, 1e-6)
+    x = dom.sample(rng, samples)
+    s1 = random_linear_section(dom, k, rng, samples)
+    s2 = random_linear_section(dom, k, rng, samples)
+    f = random_scalar(dom, rng, samples)
+    lhs = star_product(struct, s1, scale_section(f, s2), x)
+    rho_f = np.einsum("mi,mi->m", matvec(struct.bundle.anchor_matrix(x), s1.value(x)), f.gradient(x))
+    rhs = f.value(x)[:, None] * star_product(struct, s1, s2, x) + rho_f[:, None] * s2.value(x)
+    return _record("star_leibniz", _worst(lhs - rhs), 1e-6)
 
 
 def check_derivative_axioms(conn: LinearConnection, rng: np.random.Generator, samples: int) -> dict:
     """Bilinearity, function-linearity in the direction and the product rule."""
     dom = conn.bundle.base
     k, l = conn.bundle.k, conn.l
-    worst = 0.0
-    for x in dom.sample(rng, samples):
-        s1 = random_linear_section(dom, k, rng)
-        s2 = random_linear_section(dom, k, rng)
-        psi1 = random_linear_section(dom, l, rng)
-        psi2 = random_linear_section(dom, l, rng)
-        f = random_scalar(dom, rng)
-        a, b = rng.uniform(-2.0, 2.0, 2)
+    x = dom.sample(rng, samples)
+    s1 = random_linear_section(dom, k, rng, samples)
+    s2 = random_linear_section(dom, k, rng, samples)
+    psi1 = random_linear_section(dom, l, rng, samples)
+    psi2 = random_linear_section(dom, l, rng, samples)
+    f = random_scalar(dom, rng, samples)
+    a, b = rng.uniform(-2.0, 2.0, (2, samples))
 
-        base = nabla(conn, s1, psi1, x)
-        lin_s = nabla(conn, add_sections(s1, s2), psi1, x) - base - nabla(conn, s2, psi1, x)
-        lin_psi = nabla(conn, s1, add_sections(psi1, psi2), x) - base - nabla(conn, s1, psi2, x)
-        worst = max(worst, float(np.max(np.abs(lin_s))), float(np.max(np.abs(lin_psi))))
+    base = nabla(conn, s1, psi1, x)
+    lin_s = nabla(conn, add_sections(s1, s2), psi1, x) - base - nabla(conn, s2, psi1, x)
+    lin_psi = nabla(conn, s1, add_sections(psi1, psi2), x) - base - nabla(conn, s1, psi2, x)
 
-        scaled_s = VectorField(
-            [ScalarField(dom, (lambda p, _c=c, _a=a: _a * _c.gen(p)), mode="dual") for c in s1.components]
-        )
-        scaled_psi = VectorField(
-            [ScalarField(dom, (lambda p, _c=c, _b=b: _b * _c.gen(p)), mode="dual") for c in psi1.components]
-        )
-        worst = max(worst, float(np.max(np.abs(nabla(conn, scaled_s, psi1, x) - a * base))))
-        worst = max(worst, float(np.max(np.abs(nabla(conn, s1, scaled_psi, x) - b * base))))
+    scaled_s = VectorField([ScalarField(dom, (lambda p, _c=c: a * _c.gen(p)), mode="dual") for c in s1.components])
+    scaled_psi = VectorField([ScalarField(dom, (lambda p, _c=c: b * _c.gen(p)), mode="dual") for c in psi1.components])
+    hom_s = nabla(conn, scaled_s, psi1, x) - a[:, None] * base
+    hom_psi = nabla(conn, s1, scaled_psi, x) - b[:, None] * base
 
-        fun_lin = nabla(conn, scale_section(f, s1), psi1, x) - f.value(x) * base
-        worst = max(worst, float(np.max(np.abs(fun_lin))))
+    fv = f.value(x)[:, None]
+    fun_lin = nabla(conn, scale_section(f, s1), psi1, x) - fv * base
 
-        rho_s1 = conn.bundle.anchor_matrix(x) @ s1.value(x)
-        leibniz = (
-            nabla(conn, s1, scale_section(f, psi1), x)
-            - f.value(x) * base
-            - (rho_s1 @ f.gradient(x)) * psi1.value(x)
-        )
-        worst = max(worst, float(np.max(np.abs(leibniz))))
-    return _record("derivative_axioms", worst, 1e-6)
+    rho_f = np.einsum("mi,mi->m", matvec(conn.bundle.anchor_matrix(x), s1.value(x)), f.gradient(x))
+    leibniz = nabla(conn, s1, scale_section(f, psi1), x) - fv * base - rho_f[:, None] * psi1.value(x)
+    return _record("derivative_axioms", _worst(lin_s, lin_psi, hom_s, hom_psi, fun_lin, leibniz), 1e-6)
 
 
 def check_bracket_defect(
@@ -179,18 +169,14 @@ def check_bracket_defect(
     """
     dom = conn.bundle.base
     k = conn.bundle.k
-    worst_base = 0.0
-    worst_fiber = 0.0
-    for x in dom.sample(rng, samples):
-        y = rng.uniform(-2.0, 2.0, conn.l)
-        s1 = random_linear_section(dom, k, rng)
-        s2 = random_linear_section(dom, k, rng)
-        defect = involutivity_defect(conn, struct, s1, s2, (x, y), hom_tol=hom_tol)
-        comp = curvature_components(conn, struct, x)
-        contraction = contract_curvature(comp, s1.value(x), s2.value(x), y)
-        worst_base = max(worst_base, defect.base_max)
-        worst_fiber = max(worst_fiber, float(np.max(np.abs(defect.fiber + contraction))))
-    rec = _record("bracket_defect", worst_fiber, 1e-5, base_residual=worst_base, base_tolerance=1e-6)
+    x = dom.sample(rng, samples)
+    y = rng.uniform(-2.0, 2.0, (samples, conn.l))
+    s1 = random_linear_section(dom, k, rng, samples)
+    s2 = random_linear_section(dom, k, rng, samples)
+    defect = involutivity_defect(conn, struct, s1, s2, (x, y), hom_tol=hom_tol)
+    contraction = contract_curvature(curvature_components(conn, struct, x), s1.value(x), s2.value(x), y)
+    worst_base = _worst(defect.base_max)
+    rec = _record("bracket_defect", _worst(defect.fiber + contraction), 1e-5, base_residual=worst_base, base_tolerance=1e-6)
     rec["passed"] = bool(rec["passed"] and worst_base <= rec["base_tolerance"])
     return rec
 
@@ -200,13 +186,11 @@ def check_torsion_components(conn: LinearConnection, struct: PreLieStructure, po
     dom = conn.bundle.base
     k = conn.bundle.k
     basis = [VectorField.constant(dom, np.eye(k)[a]) for a in range(k)]
+    comps = torsion_components(conn, struct, points)
     worst = 0.0
-    for x in points:
-        comps = torsion_components(conn, struct, x)
-        for a in range(k):
-            for b in range(k):
-                direct = torsion(conn, struct, basis[a], basis[b], x)
-                worst = max(worst, float(np.max(np.abs(direct - comps[a, b]))))
+    for a in range(k):
+        for b in range(k):
+            worst = max(worst, _worst(torsion(conn, struct, basis[a], basis[b], points) - comps[:, a, b]))
     return _record("torsion_components", worst, 1e-8)
 
 
@@ -214,7 +198,7 @@ def run_all(cfg) -> dict:
     """Run every check the configured objects support; aggregate a report."""
     rng = np.random.default_rng(cfg.seed)
     tol = cfg.tolerances
-    points = list(cfg.points) if cfg.points else [p for p in cfg.bundle.base.sample(rng, 5)]
+    points = np.stack(cfg.points) if cfg.points else cfg.bundle.base.sample(rng, 5)
     checks: list[dict] = []
     checks.extend(check_admissibility(cfg.bundle, cfg.curves))
     if cfg.connection is not None:
@@ -251,5 +235,4 @@ __all__ = [
     "random_linear_section",
     "random_scalar",
     "run_all",
-    "star_section",
 ]

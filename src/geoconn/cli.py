@@ -94,7 +94,8 @@ def cmd_transport(args) -> int:
     if cfg.connection is None or not isinstance(cfg.connection, LinearConnection):
         raise configmod.ConfigError("$.connection", "transport needs a linear connection")
     curve = cfg.curves[args.curve_index]
-    steps = args.steps or cfg.steps or getattr(curve, "steps", None)
+    sources = (args.steps, cfg.steps, getattr(curve, "steps", None))
+    steps = next((s for s in sources if s is not None), None)
     y0 = np.array([float(v) for v in args.y0.split(",")]) if args.y0 else np.eye(cfg.connection.l)[0]
     result = lift_curve(cfg.connection, curve, y0, steps)
     payload = {
@@ -137,6 +138,26 @@ def _grid_points(cfg: configmod.RunConfig, per_axis: int | None) -> np.ndarray:
     return cfg.bundle.base.grid(3 if per_axis is None else per_axis)
 
 
+def _grid_rows(points: np.ndarray, values: np.ndarray, *per_point: np.ndarray) -> list[list]:
+    """Rows ``[*x, *index, value, *extra]``, one per point and component of
+    ``values`` (shape ``(m,) + S``); each ``per_point`` array adds a column."""
+    xs = points.tolist()
+    extra = np.stack(per_point, axis=-1).tolist() if per_point else [[]] * len(xs)
+    cells = zip(np.ndindex(values.shape), values.reshape(-1).tolist())
+    return [[*xs[i[0]], *i[1:], v, *extra[i[0]]] for i, v in cells]
+
+
+def _emit_table(args, cfg: configmod.RunConfig, columns: list[str], rows: list[list], **extra) -> int:
+    """A grid command's table, as CSV or as a JSON report with ``extra`` keys."""
+    if args.format == "csv":
+        _emit(_csv_table(columns, rows), args.out)
+    else:
+        payload = {"command": args.command, "columns": columns, "rows": rows, **extra}
+        payload.update(_meta(cfg))
+        _emit(_json_report(payload, args), args.out)
+    return 0
+
+
 def cmd_nabla(args) -> int:
     cfg = _load(args)
     if cfg.connection is None or not isinstance(cfg.connection, LinearConnection):
@@ -147,18 +168,7 @@ def cmd_nabla(args) -> int:
     psi = cfg.sections["psi"]
     points = _grid_points(cfg, args.grid)
     columns = [f"x{i}" for i in range(cfg.bundle.n)] + ["component", "value"]
-    rows = []
-    for x in points:
-        vals = nabla(cfg.connection, s, psi, x)
-        for a, v in enumerate(vals):
-            rows.append([*x, a, float(v)])
-    if args.format == "csv":
-        _emit(_csv_table(columns, rows), args.out)
-    else:
-        payload = {"command": "nabla", "columns": columns, "rows": rows}
-        payload.update(_meta(cfg))
-        _emit(_json_report(payload, args), args.out)
-    return 0
+    return _emit_table(args, cfg, columns, _grid_rows(points, nabla(cfg.connection, s, psi, points)))
 
 
 def _component_table(cfg, per_axis: int | None, kind: str) -> tuple[list[str], list[list], list[dict]]:
@@ -166,16 +176,15 @@ def _component_table(cfg, per_axis: int | None, kind: str) -> tuple[list[str], l
         "curvature": (curvature_components, ["alpha", "beta", "B", "A"]),
         "torsion": (torsion_components, ["alpha", "beta", "lam"]),
     }[kind]
-    hom_tol = cfg.tolerances.anchor_hom_tol
-    rows: list[list] = []
-    flags: list[dict] = []
-    for x in _grid_points(cfg, per_axis):
-        residual = anchor_hom_residual(cfg.structure, x)
-        tensorial = residual <= hom_tol
-        if not tensorial:
-            flags.append({"x": x.tolist(), "anchor_hom_residual": residual})
-        comps = components(cfg.connection, cfg.structure, x)
-        rows.extend([*x, *idx, float(comps[idx]), tensorial] for idx in np.ndindex(comps.shape))
+    points = _grid_points(cfg, per_axis)
+    residual = anchor_hom_residual(cfg.structure, points)
+    tensorial = residual <= cfg.tolerances.anchor_hom_tol
+    rows = _grid_rows(points, components(cfg.connection, cfg.structure, points), tensorial)
+    flags = [
+        {"x": x, "anchor_hom_residual": r}
+        for x, r, ok in zip(points.tolist(), residual.tolist(), tensorial.tolist())
+        if not ok
+    ]
     columns = [f"x{i}" for i in range(cfg.bundle.n)] + indices + ["value", "tensorial"]
     return columns, rows, flags
 
@@ -191,13 +200,7 @@ def cmd_components(args) -> int:
     if kind == "torsion" and cfg.connection.l != cfg.bundle.k:
         raise configmod.ConfigError("$.connection", "torsion needs a connection on the anchored bundle (l == k)")
     columns, rows, flags = _component_table(cfg, args.grid, kind)
-    if args.format == "csv":
-        _emit(_csv_table(columns, rows), args.out)
-    else:
-        payload = {"command": kind, "columns": columns, "rows": rows, "non_tensorial_points": flags}
-        payload.update(_meta(cfg))
-        _emit(_json_report(payload, args), args.out)
-    return 0
+    return _emit_table(args, cfg, columns, rows, non_tensorial_points=flags)
 
 
 def cmd_describe(args) -> int:
@@ -221,6 +224,13 @@ def cmd_describe(args) -> int:
     payload.update(_meta(cfg))
     _emit(_json_report(payload, args), args.out)
     return 0
+
+
+def _step_count(text: str) -> int:
+    steps = int(text)
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"step count must be at least 1, got {steps}")
+    return steps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transport", help="parallel transport along a configured curve")
     table(p)
-    p.add_argument("--steps", type=int, default=None, help="override integrator steps")
+    p.add_argument("--steps", type=_step_count, default=None, help="override integrator steps (at least 1)")
     p.add_argument("--curve-index", type=int, default=0)
     p.add_argument("--y0", default=None, help="comma-separated initial fiber vector")
     p.add_argument("--samples", default=None, help="write sampled lift points to this CSV path")

@@ -8,6 +8,7 @@ points.  Errors carry the document path at which they were detected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -52,6 +53,20 @@ def _expect(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _tolerance(value, path: str) -> float:
+    """A gate: a finite, non-negative JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
+        raise ConfigError(path, f"expected a finite non-negative number, got {value!r}")
+    return float(value)
+
+
+def _step_count(value, path: str) -> int:
+    """An integrator step count: a JSON integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(path, f"expected an integer step count of at least 1, got {value!r}")
+    return value
+
+
 def _build_curve(spec: dict, path: str, n: int, k: int, residual_tol: float) -> AdmissibleCurve:
     if not isinstance(spec, dict):
         raise ConfigError(path, "curve spec must be an object")
@@ -69,7 +84,7 @@ def _build_curve(spec: dict, path: str, n: int, k: int, residual_tol: float) -> 
     except ex.ParseError as err:
         raise ConfigError(path, str(err)) from err
     if "steps" in spec:
-        curve.steps = int(spec["steps"])  # consumed by the CLI
+        curve.steps = _step_count(spec["steps"], f"{path}.steps")  # consumed by the CLI
     return curve
 
 
@@ -133,7 +148,7 @@ def build(doc: dict) -> RunConfig:
     for name in overrides:
         if name not in known:
             raise ConfigError(f"$.tolerances.{name}", f"unknown tolerance; know {known}")
-    tolerances = Tolerances(**{name: float(value) for name, value in overrides.items()})
+    tolerances = Tolerances(**{name: _tolerance(value, f"$.tolerances.{name}") for name, value in overrides.items()})
 
     curves = [
         _build_curve(spec, f"$.curves[{idx}]", bundle.n, bundle.k, tolerances.admissibility_tol)
@@ -165,7 +180,7 @@ def build(doc: dict) -> RunConfig:
         sections=sections,
         points=points,
         seed=int(doc.get("seed", DEFAULT_SEED)),
-        steps=int(doc["steps"]) if "steps" in doc else None,
+        steps=_step_count(doc["steps"], "$.steps") if "steps" in doc else None,
         tolerances=tolerances,
         gallery=gallery_name,
     )

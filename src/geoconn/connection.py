@@ -27,6 +27,7 @@ from .fields import (
     ScalarField,
     ShapeError,
     VectorField,
+    matvec,
 )
 from .linalg import intersection_dim, rank_kernel, spans_whole_space
 
@@ -62,6 +63,8 @@ class LinearConnection:
         self.bundle = bundle
         self.fiber_rank_e = fiber_rank_e
         self.coeffs = coeffs
+        # Every block as one (k*l)-by-l field, so a batch visits each point once.
+        self._blocks = MatrixField([row for m in coeffs for row in m.entries])
 
     @property
     def l(self) -> int:
@@ -96,22 +99,25 @@ class LinearConnection:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _split(self, blocks: np.ndarray) -> np.ndarray:
+        return blocks.reshape(blocks.shape[:-2] + (self.bundle.k, self.l, self.l))
+
     def coeff_tensor(self, x) -> np.ndarray:
-        """Coefficients at ``x`` as an array indexed ``[alpha, A, B]``."""
-        return np.stack([m.value(x) for m in self.coeffs])
+        """Coefficients at one point or a batch, indexed ``[..., alpha, A, B]``."""
+        return self._split(self._blocks.value(x))
 
     def coeff_tensor_partial(self, x) -> np.ndarray:
-        """Partials of the coefficients along every base axis, indexed ``[j, alpha, A, B]``."""
-        return np.stack([m.jacobian(x) for m in self.coeffs], axis=1)
+        """Partials of the coefficients along every base axis, indexed ``[..., j, alpha, A, B]``."""
+        return self._split(self._blocks.jacobian(x))
 
     def coeff_sample(self, points: np.ndarray) -> np.ndarray:
-        """Batch of coefficient tensors, shape ``(m, k, l, l)``."""
-        return np.stack([m.sample(points) for m in self.coeffs], axis=1)
+        """Batch of coefficient tensors without the domain gate, shape ``(m, k, l, l)``."""
+        return self._split(self._blocks.sample(points))
 
     def gamma_xy(self, x, y) -> np.ndarray:
-        """Induced general coefficients, the l-by-k matrix at ``(x, y)``."""
+        """Induced general coefficients, the l-by-k matrix at ``(x, y)`` or a batch of them."""
         y = np.asarray(y, dtype=float)
-        return np.einsum("aAB,B->Aa", self.coeff_tensor(x), y)
+        return np.einsum("...aAB,...B->...Aa", self.coeff_tensor(x), y)
 
     @property
     def supports_dual(self) -> bool:
@@ -169,11 +175,16 @@ class GeneralConnection:
         return cls(bundle, l, entries)
 
     def gamma_xy(self, x, y) -> np.ndarray:
-        vals = list(np.asarray(x, dtype=float)) + list(np.asarray(y, dtype=float))
-        out = np.empty((self.l, self.bundle.k))
+        """Coefficients at ``(x, y)`` or a batch of them, shape ``(..., l, k)``."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim == 2 and not self.supports_dual:
+            # Difference-mode entries are opaque one-point callables.
+            return np.array([self.gamma_xy(p, q) for p, q in zip(x, y)])
+        vals = list(np.moveaxis(x, -1, 0)) + list(np.moveaxis(y, -1, 0))
+        out = np.empty(x.shape[:-1] + (self.l, self.bundle.k))
         for A, row in enumerate(self.entries):
             for a, f in enumerate(row):
-                out[A, a] = float(f.gen(vals))
+                out[..., A, a] = f.gen(vals)
         return out
 
     @property
@@ -195,14 +206,14 @@ def lift(conn: Connection, e, nvec) -> tuple[np.ndarray, np.ndarray]:
 
     The base component is the anchor image of ``nvec``; the fiber component
     contracts the connection coefficients with ``nvec`` (and ``y`` in the
-    linear case).
+    linear case).  ``x``, ``y`` and ``nvec`` may carry a leading batch axis.
     """
     x, y = e
     nvec = np.asarray(nvec, dtype=float)
-    if nvec.shape != (conn.bundle.k,):
+    if nvec.shape[-1:] != (conn.bundle.k,):
         raise ShapeError(f"fiber vector must have length {conn.bundle.k}")
-    dx = conn.bundle.anchor_matrix(x) @ nvec
-    dy = conn.gamma_xy(x, y) @ nvec
+    dx = matvec(conn.bundle.anchor_matrix(x), nvec)
+    dy = matvec(conn.gamma_xy(x, y), nvec)
     return dx, dy
 
 
@@ -486,10 +497,9 @@ def restrict_ordinary_connection(ordinary: Connection, bundle: AnchorBundle) -> 
     src = ordinary.bundle
     if src.k != src.n or src.base.bounds != bundle.base.bounds:
         raise ShapeError("ordinary connection must live over the tangent bundle of the same base")
-    probe = [src.base.center()] + [np.array(b) for b in (src.base.grid(2))[:4]]
-    for p in probe:
-        if np.max(np.abs(src.anchor_matrix(p) - np.eye(src.n))) > 1e-12:
-            raise ShapeError("ordinary connection must have the identity anchor")
+    probe = np.vstack([src.base.center(), src.base.grid(2)[:4]])
+    if np.max(np.abs(src.anchor_matrix(probe) - np.eye(src.n))) > 1e-12:
+        raise ShapeError("ordinary connection must have the identity anchor")
 
     n, k, l = bundle.n, bundle.k, ordinary.l
     gamma_entries = bundle.gamma.entries

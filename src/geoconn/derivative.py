@@ -15,11 +15,12 @@ import numpy as np
 from .bundle import AdmissibleCurve, AnchorBundle, FiberPoint
 from .connection import LinearConnection, connection_map
 from .defaults import NESTED_FD_STEP
-from .fields import GeoconnError, MatrixField, ScalarField, ShapeError, VectorField
+from .fields import GeoconnError, MatrixField, ScalarField, ShapeError, VectorField, matvec
 
 
 def nabla(conn: LinearConnection, s: VectorField, psi: VectorField, x) -> np.ndarray:
-    """Derivative of the section ``psi`` in the direction of the section ``s``.
+    """Derivative of the section ``psi`` in the direction of the section ``s``,
+    at one point ``x`` or a batch.
 
     Components: the anchor image of ``s`` applied to ``psi`` minus the
     coefficient contraction with ``s`` and ``psi``.
@@ -29,9 +30,9 @@ def nabla(conn: LinearConnection, s: VectorField, psi: VectorField, x) -> np.nda
     x = conn.bundle.base.require(x)
     sv = s.value(x)
     pv = psi.value(x)
-    vel = conn.bundle.anchor_matrix(x) @ sv
+    vel = matvec(conn.bundle.anchor_matrix(x), sv)
     coeff = conn.coeff_tensor(x)
-    return psi.jacobian(x) @ vel - np.einsum("aAB,a,B->A", coeff, sv, pv)
+    return matvec(psi.jacobian(x), vel) - np.einsum("...aAB,...a,...B->...A", coeff, sv, pv)
 
 
 def nabla_point(conn: LinearConnection, nvec: FiberPoint, psi: VectorField) -> np.ndarray:
@@ -101,9 +102,9 @@ def nabla_dual(conn: LinearConnection, s: VectorField, f: VectorField, x) -> np.
     x = conn.bundle.base.require(x)
     sv = s.value(x)
     fv = f.value(x)
-    vel = conn.bundle.anchor_matrix(x) @ sv
+    vel = matvec(conn.bundle.anchor_matrix(x), sv)
     coeff = conn.coeff_tensor(x)
-    return f.jacobian(x) @ vel + np.einsum("aBA,a,B->A", coeff, sv, fv)
+    return matvec(f.jacobian(x), vel) + np.einsum("...aBA,...a,...B->...A", coeff, sv, fv)
 
 
 def reconstruct_connection(
@@ -168,7 +169,7 @@ class DifferenceTensor:
     coeff: Callable[[np.ndarray], np.ndarray]  # x -> (k, l, l)
 
     def apply(self, s: VectorField, psi: VectorField, x) -> np.ndarray:
-        return np.einsum("aAB,a,B->A", self.coeff(x), s.value(x), psi.value(x))
+        return np.einsum("...aAB,...a,...B->...A", self.coeff(x), s.value(x), psi.value(x))
 
 
 def difference_tensor(conn_a: LinearConnection, conn_b: LinearConnection) -> DifferenceTensor:

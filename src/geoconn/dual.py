@@ -17,6 +17,8 @@ class Dual:
     """Number ``re + eps``: ``re`` a float or an array of shape ``S``, ``eps`` of shape ``(n,) + S``."""
 
     __slots__ = ("re", "eps")
+    # numpy operands defer to the dual operators instead of building object arrays.
+    __array_ufunc__ = None
 
     def __init__(self, re, eps):
         # Python floats keep single-point arithmetic off numpy scalars.

@@ -145,8 +145,11 @@ class ScalarField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def value(self, point) -> float:
+    def value(self, point) -> float | np.ndarray:
+        """Value at one point ``(dim,)``, a float, or at a batch ``(m, dim)``, shape ``(m,)``."""
         point = self.domain.require(point)
+        if point.ndim == 2:
+            return self.sample(point)
         v = self.fn(point)
         v = dm.real(v)
         if not np.isfinite(v):
@@ -207,8 +210,6 @@ class ScalarField:
         out = self.fn(dm.seed(points))
         if not isinstance(out, dm.Dual):
             return np.zeros(points.shape)
-        if points.ndim == 1:
-            return out.eps.copy()
         return np.broadcast_to(out.eps, points.shape[::-1]).T.copy()
 
     def check_derivatives(self, rng: np.random.Generator, samples: int = 100, tol: float | None = None) -> float:
@@ -265,16 +266,15 @@ class VectorField:
         return cls([ScalarField.constant(domain, v) for v in np.asarray(values, dtype=float)])
 
     def value(self, point) -> np.ndarray:
-        return np.array([c.value(point) for c in self.components])
+        """Components at one point ``(dim,)`` or a batch ``(m, dim)``, shape ``(..., len)``."""
+        return np.stack([c.value(point) for c in self.components], axis=-1)
 
     def gen(self, values) -> list:
         return [c.gen(values) for c in self.components]
 
-    def sample(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([c.sample(points) for c in self.components], axis=-1)
-
     def jacobian(self, point) -> np.ndarray:
-        return np.stack([c.gradient(point) for c in self.components])
+        """Partials at one point or a batch, indexed ``[..., component, axis]``."""
+        return np.stack([c.gradient(point) for c in self.components], axis=-2)
 
     @property
     def supports_dual(self) -> bool:
@@ -308,26 +308,34 @@ class MatrixField:
         return cls.constant(domain, np.eye(n))
 
     def value(self, point) -> np.ndarray:
-        out = np.empty((self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                out[i, j] = f.value(point)
-        return out
+        """Entries at one point ``(dim,)`` or a batch ``(m, dim)``, shape ``(..., rows, cols)``."""
+        point = self.domain.require(point)
+        if point.ndim == 2:
+            return self.sample(point)
+        return np.array([[f.value(point) for f in row] for row in self.entries])
 
     def gen(self, values) -> list:
         return [[f.gen(values) for f in row] for row in self.entries]
 
     def sample(self, points: np.ndarray) -> np.ndarray:
+        """Values at a batch of points, shape ``(m, dim) -> (m, rows, cols)``.
+
+        Without dual entries, every entry is evaluated at a point before the
+        next point, so a per-point cache shared by the entries is hit.
+        """
         points = np.asarray(points, dtype=float)
-        out = np.empty((points.shape[0], self.rows, self.cols))
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                out[:, i, j] = f.sample(points)
-        return out
+        flat = [f for row in self.entries for f in row]
+        if self.supports_dual:
+            out = np.stack([f.sample(points) for f in flat], axis=-1)
+        else:
+            out = np.array([[dm.real(f.fn(p)) for f in flat] for p in points], dtype=float)
+            if not np.all(np.isfinite(out)):
+                raise NumericError("matrix field evaluated to a non-finite value in batch")
+        return out.reshape(len(points), self.rows, self.cols)
 
     def jacobian(self, point) -> np.ndarray:
-        """Partials along every axis at ``point``, shape ``(dim, rows, cols)``; one pass per entry."""
-        return np.moveaxis(np.array([[f.gradient(point) for f in row] for row in self.entries]), -1, 0)
+        """Partials along every axis at one point or a batch, shape ``(..., dim, rows, cols)``; one pass per entry."""
+        return np.moveaxis(np.array([[f.gradient(point) for f in row] for row in self.entries]), (0, 1), (-2, -1))
 
     def column(self, j: int) -> VectorField:
         return VectorField([row[j] for row in self.entries])
@@ -335,6 +343,11 @@ class MatrixField:
     @property
     def supports_dual(self) -> bool:
         return all(f.mode == "dual" for row in self.entries for f in row)
+
+
+def matvec(mat, vec) -> np.ndarray:
+    """``mat @ vec`` over any leading batch axes, rounded as the one-point product."""
+    return (mat @ vec[..., None])[..., 0]
 
 
 def scale_section(f: ScalarField, vec: VectorField) -> VectorField:
@@ -364,7 +377,8 @@ def add_sections(a: VectorField, b: VectorField) -> VectorField:
 def lie_bracket(x_field: VectorField, y_field: VectorField, point) -> np.ndarray:
     """Bracket of two vector fields on a common domain.
 
-    Component form ``X^j d_j Y^i - Y^j d_j X^i`` evaluated at ``point``.
+    Component form ``X^j d_j Y^i - Y^j d_j X^i`` evaluated at one point or a
+    batch.
     """
     if len(x_field) != x_field.domain.dim or len(y_field) != y_field.domain.dim:
         raise ShapeError("lie_bracket needs square vector fields on their domain")
@@ -374,4 +388,4 @@ def lie_bracket(x_field: VectorField, y_field: VectorField, point) -> np.ndarray
     yv = y_field.value(point)
     jx = x_field.jacobian(point)
     jy = y_field.jacobian(point)
-    return jy @ xv - jx @ yv
+    return matvec(jy, xv) - matvec(jx, yv)

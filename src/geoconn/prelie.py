@@ -29,6 +29,7 @@ from .fields import (
     ShapeError,
     VectorField,
     lie_bracket,
+    matvec,
 )
 
 
@@ -81,14 +82,13 @@ class PreLieStructure:
         fields = [[[ex.to_field(rows[lam][a][b], bundle.base) for b in range(k)] for a in range(k)] for lam in range(k)]
         rng = np.random.default_rng(0)
         pts = bundle.base.sample(rng, check_points)
-        for p in pts:
-            for lam in range(k):
-                for a in range(k):
-                    if abs(fields[lam][a][a].value(p)) > 1e-12:
-                        raise StructureError(f"diagonal structure function [{lam}][{a}][{a}] is not zero")
-                    for b in range(a + 1, k):
-                        if abs(fields[lam][a][b].value(p) + fields[lam][b][a].value(p)) > 1e-12:
-                            raise StructureError(f"structure functions not skew at indices [{lam}][{a}][{b}]")
+        for lam in range(k):
+            for a in range(k):
+                if np.max(np.abs(fields[lam][a][a].value(pts))) > 1e-12:
+                    raise StructureError(f"diagonal structure function [{lam}][{a}][{a}] is not zero")
+                for b in range(a + 1, k):
+                    if np.max(np.abs(fields[lam][a][b].value(pts) + fields[lam][b][a].value(pts))) > 1e-12:
+                        raise StructureError(f"structure functions not skew at indices [{lam}][{a}][{b}]")
         upper = {}
         for a in range(k):
             for b in range(a + 1, k):
@@ -100,18 +100,18 @@ class PreLieStructure:
         return cls(bundle, {pair: VectorField(list(comps)) for pair, comps in upper_fields.items()})
 
     def tensor(self, x) -> np.ndarray:
-        """Structure functions at ``x`` as an array indexed ``[lam, alpha, beta]``."""
+        """Structure functions at one point or a batch, indexed ``[..., lam, alpha, beta]``."""
         k = self.bundle.k
-        out = np.zeros((k, k, k))
+        out = np.zeros(np.shape(x)[:-1] + (k, k, k))
         for (a, b), comps in self.upper.items():
             v = comps.value(x)
-            out[:, a, b] = v
-            out[:, b, a] = -v
+            out[..., a, b] = v
+            out[..., b, a] = -v
         return out
 
 
 def star_product(struct: PreLieStructure, s1: VectorField, s2: VectorField, x) -> np.ndarray:
-    """Product of two sections at ``x``.
+    """Product of two sections at one point ``x`` or a batch.
 
     Structure-function contraction plus the derivation terms: the anchor
     image of each argument differentiates the components of the other.
@@ -121,7 +121,8 @@ def star_product(struct: PreLieStructure, s1: VectorField, s2: VectorField, x) -
     s1v, s2v = s1.value(x), s2.value(x)
     gam = bundle.anchor_matrix(x)
     c = struct.tensor(x)
-    return np.einsum("lab,a,b->l", c, s1v, s2v) + s2.jacobian(x) @ (gam @ s1v) - s1.jacobian(x) @ (gam @ s2v)
+    derivation = matvec(s2.jacobian(x), matvec(gam, s1v)) - matvec(s1.jacobian(x), matvec(gam, s2v))
+    return np.einsum("...lab,...a,...b->...l", c, s1v, s2v) + derivation
 
 
 def star_section(struct: PreLieStructure, s1: VectorField, s2: VectorField) -> VectorField:
@@ -139,21 +140,22 @@ def star_section(struct: PreLieStructure, s1: VectorField, s2: VectorField) -> V
     return VectorField([comp(i) for i in range(struct.bundle.k)])
 
 
-def anchor_hom_residual(struct: PreLieStructure, x) -> float:
+def anchor_hom_residual(struct: PreLieStructure, x) -> float | np.ndarray:
     """How far the anchor is from intertwining the product with the bracket.
 
     Max over index triples of the difference between the contracted structure
     functions and the bracket of the anchored frame fields; zero certifies
-    tensoriality of the curvature at ``x``.
+    tensoriality of the curvature at ``x``.  A float for one point, an array
+    ``(m,)`` for a batch.
     """
     bundle = struct.bundle
     x = bundle.base.require(x)
     gam = bundle.anchor_matrix(x)
-    dgam = bundle.gamma.jacobian(x)  # (n_axes, n, k)
+    dgam = bundle.gamma.jacobian(x)  # (..., n_axes, n, k)
     c = struct.tensor(x)
-    lhs = np.einsum("lab,il->iab", c, gam)
-    rhs = np.einsum("ja,jib->iab", gam, dgam) - np.einsum("jb,jia->iab", gam, dgam)
-    return float(np.max(np.abs(lhs - rhs)))
+    lhs = np.einsum("...lab,...il->...iab", c, gam)
+    rhs = np.einsum("...ja,...jib->...iab", gam, dgam) - np.einsum("...jb,...jia->...iab", gam, dgam)
+    return np.max(np.abs(lhs - rhs), axis=(-3, -2, -1))
 
 
 def jacobiator(struct: PreLieStructure, s1: VectorField, s2: VectorField, s3: VectorField, x) -> np.ndarray:
@@ -191,7 +193,7 @@ def curvature(
 
 
 def curvature_components(conn: LinearConnection, struct: PreLieStructure, x) -> np.ndarray:
-    """Curvature tensor at ``x``, indexed ``[alpha, beta, B, A]``.
+    """Curvature tensor at one point or a batch, indexed ``[..., alpha, beta, B, A]``.
 
     Equals :func:`curvature` on frame sections whenever the anchor
     homomorphism residual vanishes.  In terms of the stored lift-convention
@@ -201,26 +203,26 @@ def curvature_components(conn: LinearConnection, struct: PreLieStructure, x) -> 
     """
     x = conn.bundle.base.require(x)
     gam = conn.bundle.anchor_matrix(x)
-    coeff = conn.coeff_tensor(x)  # (k, l, l) indexed [alpha, A, B]
-    dcoeff = conn.coeff_tensor_partial(x)  # (n, k, l, l)
+    coeff = conn.coeff_tensor(x)  # (..., k, l, l) indexed [alpha, A, B]
+    dcoeff = conn.coeff_tensor_partial(x)  # (..., n, k, l, l)
     c = struct.tensor(x)
-    term_d = -np.einsum("ia,ibBA->abBA", gam, dcoeff) + np.einsum("ib,iaBA->abBA", gam, dcoeff)
-    term_q = np.einsum("aBC,bCA->abBA", coeff, coeff) - np.einsum("bBC,aCA->abBA", coeff, coeff)
-    term_c = np.einsum("lab,lBA->abBA", c, coeff)
+    term_d = -np.einsum("...ia,...ibBA->...abBA", gam, dcoeff) + np.einsum("...ib,...iaBA->...abBA", gam, dcoeff)
+    term_q = np.einsum("...aBC,...bCA->...abBA", coeff, coeff) - np.einsum("...bBC,...aCA->...abBA", coeff, coeff)
+    term_c = np.einsum("...lab,...lBA->...abBA", c, coeff)
     return term_d + term_q + term_c
 
 
 def contract_curvature(components: np.ndarray, s1v, s2v, yv) -> np.ndarray:
     """Contraction of curvature components with two directions and a fiber vector."""
-    return np.einsum("abBA,a,b,A->B", components, np.asarray(s1v), np.asarray(s2v), np.asarray(yv))
+    return np.einsum("...abBA,...a,...b,...A->...B", components, np.asarray(s1v), np.asarray(s2v), np.asarray(yv))
 
 
 @dataclass(frozen=True)
 class InvolutivityDefect:
-    """Vertical defect of a bracket of lifted sections."""
+    """Vertical defect of a bracket of lifted sections (``base_max`` per point for a batch)."""
 
     fiber: np.ndarray
-    base_max: float
+    base_max: float | np.ndarray
 
 
 def involutivity_defect(
@@ -233,16 +235,17 @@ def involutivity_defect(
 ) -> InvolutivityDefect:
     """Bracket of the lifted sections minus the lift of their product, at ``e``.
 
-    Requires the anchor homomorphism residual to vanish at the base point
-    (within ``hom_tol``, which defaults by derivative mode); the base
-    component of the defect then vanishes and the fiber component is
-    curvature contracted against the reversed argument order (equivalently,
-    minus the contraction in the given order).
+    ``e = (x, y)`` is one total-space point or a batch of them.  Requires the
+    anchor homomorphism residual to vanish at each base point (within
+    ``hom_tol``, which defaults by derivative mode); the base component of the
+    defect then vanishes and the fiber component is curvature contracted
+    against the reversed argument order (equivalently, minus the contraction
+    in the given order).
     """
     if hom_tol is None:
         hom_tol = ANCHOR_HOM_TOL if struct.bundle.gamma.supports_dual else ANCHOR_HOM_TOL_FD
     x, y = np.asarray(e[0], dtype=float), np.asarray(e[1], dtype=float)
-    residual = anchor_hom_residual(struct, x)
+    residual = np.max(anchor_hom_residual(struct, x))
     if residual > hom_tol:
         raise GeoconnError(
             f"anchor homomorphism residual {residual:.3e} exceeds {hom_tol:.3e}; "
@@ -251,12 +254,11 @@ def involutivity_defect(
     halfwidth = max(10.0, 2.0 * float(np.max(np.abs(y))) + 1.0)
     lifted1 = lift_section(conn, s1, fiber_halfwidth=halfwidth)
     lifted2 = lift_section(conn, s2, fiber_halfwidth=halfwidth)
-    point = np.concatenate([x, y])
-    bracket = lie_bracket(lifted1, lifted2, point)
-    dx, dy = lift(conn, (x, y), star_section(struct, s1, s2).value(x))
-    defect = bracket - np.concatenate([dx, dy])
+    bracket = lie_bracket(lifted1, lifted2, np.concatenate([x, y], axis=-1))
+    dx, dy = lift(conn, (x, y), star_product(struct, s1, s2, x))
+    defect = bracket - np.concatenate([dx, dy], axis=-1)
     n = conn.bundle.n
-    return InvolutivityDefect(fiber=defect[n:], base_max=float(np.max(np.abs(defect[:n]))))
+    return InvolutivityDefect(fiber=defect[..., n:], base_max=np.max(np.abs(defect[..., :n]), axis=-1))
 
 
 # -- torsion -----------------------------------------------------------------
@@ -272,7 +274,7 @@ def torsion(conn: LinearConnection, struct: PreLieStructure, s1: VectorField, s2
 
 
 def torsion_components(conn: LinearConnection, struct: PreLieStructure, x) -> np.ndarray:
-    """Torsion tensor at ``x``, indexed ``[alpha, beta, lam]``.
+    """Torsion tensor at one point or a batch, indexed ``[..., alpha, beta, lam]``.
 
     Matches :func:`torsion` on frame sections; in the stored lift-convention
     coefficients the component formula is the coefficient transposition minus
@@ -281,10 +283,10 @@ def torsion_components(conn: LinearConnection, struct: PreLieStructure, x) -> np
     if conn.l != conn.bundle.k:
         raise ShapeError("torsion needs a connection on the anchored bundle itself (l == k)")
     x = conn.bundle.base.require(x)
-    coeff = conn.coeff_tensor(x)  # [alpha, lam, beta]
-    c = struct.tensor(x)  # [lam, alpha, beta]
-    gamma_ab = np.einsum("alb->abl", coeff)  # [alpha, beta, lam]
-    return np.einsum("abl->bal", gamma_ab) - gamma_ab - np.einsum("lab->abl", c)
+    coeff = conn.coeff_tensor(x)  # [..., alpha, lam, beta]
+    c = struct.tensor(x)  # [..., lam, alpha, beta]
+    gamma_ab = np.einsum("...alb->...abl", coeff)  # [..., alpha, beta, lam]
+    return np.einsum("...abl->...bal", gamma_ab) - gamma_ab - np.einsum("...lab->...abl", c)
 
 
 # -- deformed bracket ---------------------------------------------------------
@@ -315,7 +317,7 @@ def nijenhuis_bracket(a_field: MatrixField, x_field: VectorField, y_field: Vecto
     """
     term1 = lie_bracket(apply_tensor_field(a_field, x_field), y_field, x)
     term2 = lie_bracket(x_field, apply_tensor_field(a_field, y_field), x)
-    term3 = a_field.value(x) @ lie_bracket(x_field, y_field, x)
+    term3 = matvec(a_field.value(x), lie_bracket(x_field, y_field, x))
     return term1 + term2 - term3
 
 

@@ -211,6 +211,34 @@ class TestSettingsApplied:
         assert code == 2
         assert f"$.tolerances.{key}" in err
 
+    @pytest.mark.parametrize("value", ["abc", True, -1e-3, float("inf")])
+    def test_invalid_tolerance_value_rejected(self, tmp_path, capsys, value):
+        code, _, err = run(capsys, "check", "--config", _heisenberg_with(tmp_path, tolerances={"anchor_hom_tol": value}))
+        assert code == 2
+        assert "$.tolerances.anchor_hom_tol" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("steps", ["-5", "0"])
+    def test_steps_flag_below_one_rejected(self, capsys, steps):
+        with pytest.raises(SystemExit) as exc:
+            main(["transport", "--config", cfg("scalar_transport.json"), "--steps", steps])
+        assert exc.value.code == 2
+        assert "--steps" in capsys.readouterr().err
+
+    def test_curve_steps_below_one_rejected(self, tmp_path, capsys):
+        doc = json.loads(open(cfg("scalar_transport.json"), encoding="utf-8").read())
+        doc["curves"][0]["steps"] = -3
+        code, _, err = run(capsys, "transport", "--config", _write(tmp_path, doc))
+        assert code == 2
+        assert "$.curves[0].steps" in err
+
+    def test_top_level_steps_below_one_rejected(self, tmp_path, capsys):
+        doc = json.loads(open(cfg("scalar_transport.json"), encoding="utf-8").read())
+        doc["steps"] = 0
+        code, _, err = run(capsys, "transport", "--config", _write(tmp_path, doc))
+        assert code == 2
+        assert "$.steps" in err
+
     @pytest.mark.parametrize("argv", [
         ("check", "--steps", "10"),
         ("describe", "--steps", "10"),

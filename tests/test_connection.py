@@ -182,7 +182,8 @@ class TestTransform:
         for x0 in (-0.5, 0.0, 0.35, 0.8):
             assert moved.coeff_tensor(np.array([x0]))[0, 0, 0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_round_trip(self, rng):
+    @staticmethod
+    def _round_trip():
         dom = CoordDomain.cube(2, -1, 1)
         bundle = AnchorBundle.from_exprs(dom.bounds, [["1", "x1/4"], ["0", "1"]])
         conn = LinearConnection.from_exprs(
@@ -193,10 +194,37 @@ class TestTransform:
         lam = to_matrix_field([["1", "x0/8"], ["0", "1 + x1^2/16"]], dom)
         change = BundleChange(dom, xi, lam)
         there = transform_connection(conn, change)
-        back = transform_connection(there, change.inverted())
-        for x in dom.sample(rng, 5):
+        return conn, transform_connection(there, change.inverted())
+
+    def test_round_trip(self, rng):
+        conn, back = self._round_trip()
+        for x in conn.bundle.base.sample(rng, 5):
             assert np.max(np.abs(back.coeff_tensor(x) - conn.coeff_tensor(x))) < 1e-6
-            assert np.max(np.abs(back.bundle.anchor_matrix(x) - bundle.anchor_matrix(x))) < 1e-6
+            assert np.max(np.abs(back.bundle.anchor_matrix(x) - conn.bundle.anchor_matrix(x))) < 1e-6
+
+    def test_batch_inverts_no_more_than_single_points(self, monkeypatch):
+        # More points than the per-point cache holds: sampled entry by entry,
+        # every entry would re-evaluate the change at every point.
+        pts = CoordDomain.cube(2, -1, 1).sample(np.random.default_rng(0), 100)
+        real_inv = np.linalg.inv
+        calls = []
+
+        def counting_inv(mat):
+            calls.append(mat)
+            return real_inv(mat)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        single = self._round_trip()[1]
+        expected = np.array([single.coeff_tensor(p) for p in pts])
+        singles = len(calls)
+        calls.clear()
+        batch = self._round_trip()[1]
+        got = batch.coeff_sample(pts)
+        assert len(calls) <= singles
+        assert np.array_equal(got, expected)
+        calls.clear()
+        assert np.array_equal(batch.coeff_tensor(pts), expected)
+        assert len(calls) <= singles
 
     def test_inverted_change_inverts_once_per_point(self, monkeypatch):
         dom = CoordDomain.cube(1, -1, 1)

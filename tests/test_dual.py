@@ -80,3 +80,27 @@ def test_batched_power_and_zero_checks():
         1.0 / xs[0]
     with pytest.raises(ZeroDivisionError):
         xs[0] ** -1
+
+
+
+# A batch dual: real part of shape (3,), seeds of shape (2, 3).
+ARR = np.array([0.5, -2.0, 3.0])
+RE = np.array([1.5, 0.25, -4.0])
+EPS = np.array([[1.0, 0.0, 2.0], [0.5, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("fn, re, eps", [
+    (lambda a, d: a + d, ARR + RE, EPS),
+    (lambda a, d: d + a, RE + ARR, EPS),
+    (lambda a, d: a - d, ARR - RE, -EPS),
+    (lambda a, d: d - a, RE - ARR, EPS),
+    (lambda a, d: a * d, ARR * RE, ARR * EPS),
+    (lambda a, d: d * a, RE * ARR, EPS * ARR),
+    (lambda a, d: a / d, ARR / RE, -ARR * EPS / RE**2),
+    (lambda a, d: d / a, RE / ARR, EPS / ARR),
+])
+def test_ndarray_operands_defer_to_dual(fn, re, eps):
+    out = fn(ARR, dm.Dual(RE, EPS))
+    assert isinstance(out, dm.Dual)
+    np.testing.assert_allclose(out.re, re, rtol=1e-15)
+    np.testing.assert_allclose(out.eps, eps, rtol=1e-15)
