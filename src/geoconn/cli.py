@@ -138,13 +138,13 @@ def _grid_points(cfg: configmod.RunConfig, per_axis: int | None) -> np.ndarray:
     return cfg.bundle.base.grid(3 if per_axis is None else per_axis)
 
 
-def _grid_rows(points: np.ndarray, values: np.ndarray, *per_point: np.ndarray) -> list[list]:
-    """Rows ``[*x, *index, value, *extra]``, one per point and component of
-    ``values`` (shape ``(m,) + S``); each ``per_point`` array adds a column."""
+def _grid_rows(points: np.ndarray, values: np.ndarray, extra: np.ndarray | None = None) -> list[list]:
+    """Rows ``[*x, *index, value]``, one per point and component of ``values``
+    (shape ``(m,) + S``), ending in the point's ``extra`` entry if given."""
     xs = points.tolist()
-    extra = np.stack(per_point, axis=-1).tolist() if per_point else [[]] * len(xs)
+    tail = [[]] * len(xs) if extra is None else [[e] for e in extra.tolist()]
     cells = zip(np.ndindex(values.shape), values.reshape(-1).tolist())
-    return [[*xs[i[0]], *i[1:], v, *extra[i[0]]] for i, v in cells]
+    return [[*xs[i[0]], *i[1:], v, *tail[i[0]]] for i, v in cells]
 
 
 def _emit_table(args, cfg: configmod.RunConfig, columns: list[str], rows: list[list], **extra) -> int:

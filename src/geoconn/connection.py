@@ -150,6 +150,7 @@ class GeneralConnection:
         self.bundle = bundle
         self.fiber_rank_e = fiber_rank_e
         self.entries = entries
+        self._field = MatrixField(entries)
 
     @property
     def l(self) -> int:
@@ -176,20 +177,11 @@ class GeneralConnection:
 
     def gamma_xy(self, x, y) -> np.ndarray:
         """Coefficients at ``(x, y)`` or a batch of them, shape ``(..., l, k)``."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.ndim == 2 and not self.supports_dual:
-            # Difference-mode entries are opaque one-point callables.
-            return np.array([self.gamma_xy(p, q) for p, q in zip(x, y)])
-        vals = list(np.moveaxis(x, -1, 0)) + list(np.moveaxis(y, -1, 0))
-        out = np.empty(x.shape[:-1] + (self.l, self.bundle.k))
-        for A, row in enumerate(self.entries):
-            for a, f in enumerate(row):
-                out[..., A, a] = f.gen(vals)
-        return out
+        return self._field.value(np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)], axis=-1))
 
     @property
     def supports_dual(self) -> bool:
-        return all(f.mode == "dual" for row in self.entries for f in row)
+        return self._field.supports_dual
 
     def component_gen(self, A: int, alpha: int) -> Callable:
         return self.entries[A][alpha].gen

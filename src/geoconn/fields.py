@@ -150,8 +150,11 @@ class ScalarField:
         point = self.domain.require(point)
         if point.ndim == 2:
             return self.sample(point)
-        v = self.fn(point)
-        v = dm.real(v)
+        return self._at(point)
+
+    def _at(self, point: np.ndarray) -> float:
+        """Value at one point, without the domain gate; a non-finite value raises."""
+        v = dm.real(self.fn(point))
         if not np.isfinite(v):
             raise NumericError(f"field evaluated to {v} at {point.tolist()}")
         return float(v)
@@ -171,11 +174,10 @@ class ScalarField:
         if self.mode == "dual":
             out = self.fn([points[:, j] for j in range(self.domain.dim)])
             out = np.broadcast_to(np.asarray(out, dtype=float), (points.shape[0],)).copy()
-        else:
-            out = np.array([float(dm.real(self.fn(p))) for p in points])
-        if not np.all(np.isfinite(out)):
-            raise NumericError("field evaluated to a non-finite value in batch")
-        return out
+            if not np.all(np.isfinite(out)):
+                raise NumericError("field evaluated to a non-finite value in batch")
+            return out
+        return np.array([self._at(p) for p in points], dtype=float)
 
     # -- differentiation -----------------------------------------------------
 
@@ -328,13 +330,19 @@ class MatrixField:
         if self.supports_dual:
             out = np.stack([f.sample(points) for f in flat], axis=-1)
         else:
-            out = np.array([[dm.real(f.fn(p)) for f in flat] for p in points], dtype=float)
-            if not np.all(np.isfinite(out)):
-                raise NumericError("matrix field evaluated to a non-finite value in batch")
+            out = np.array([[f._at(p) for f in flat] for p in points], dtype=float)
         return out.reshape(len(points), self.rows, self.cols)
 
     def jacobian(self, point) -> np.ndarray:
-        """Partials along every axis at one point or a batch, shape ``(..., dim, rows, cols)``; one pass per entry."""
+        """Partials along every axis at one point or a batch, shape ``(..., dim, rows, cols)``.
+
+        Dual entries take one pass each; otherwise a batch goes point by point,
+        as in :meth:`sample`.
+        """
+        point = np.asarray(point, dtype=float)
+        if point.ndim == 2 and not self.supports_dual:
+            out = np.array([self.jacobian(p) for p in point], dtype=float)
+            return out.reshape((len(point), self.domain.dim, self.rows, self.cols))
         return np.moveaxis(np.array([[f.gradient(point) for f in row] for row in self.entries]), (0, 1), (-2, -1))
 
     def column(self, j: int) -> VectorField:

@@ -16,6 +16,9 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from geoconn import (  # noqa: E402
     GeneralConnection,
+    LinearConnection,
+    MatrixField,
+    ScalarField,
     anchor_hom_residual,
     by_name,
     curvature_components,
@@ -36,6 +39,11 @@ MAKE_ARGS = {"poisson": {"coeffs": COEFFS_2D}, "nijenhuis": {"coeffs": COEFFS_2D
 NAMES = ["ehresmann", "subbundle", "poisson", "nijenhuis", "heisenberg-sr", "heisenberg-lie"]
 
 
+def as_fd(entries):
+    """The same entry callables, evaluated point by point and differenced."""
+    return [[ScalarField(f.domain, f.fn, mode="fd") for f in row] for row in entries]
+
+
 @functools.cache
 def setup(name):
     """The case, a general connection on its bundle and fixed affine sections."""
@@ -50,6 +58,15 @@ def setup(name):
     return case, general, sections
 
 
+@functools.cache
+def setup_fd(name):
+    """The case's connection and the general connection with difference-mode entries."""
+    case, general, _ = setup(name)
+    conn = case.connection
+    conn_fd = LinearConnection(case.bundle, conn.l, [MatrixField(as_fd(m.entries)) for m in conn.coeffs])
+    return conn_fd, GeneralConnection(case.bundle, conn.l, as_fd(general.entries))
+
+
 def operators(name):
     """(label, fn(x, y, nvec)) for every batched call the case supports."""
     case, general, sections = setup(name)
@@ -58,6 +75,7 @@ def operators(name):
     s1, s2 = sections[k]
     psi, phi = sections[l]
     v1, v2 = sections[n]
+    conn_fd, general_fd = setup_fd(name)
     ops = [
         ("ScalarField.value", lambda x, y, u: s1.components[0].value(x)),
         ("ScalarField.gradient", lambda x, y, u: s1.components[0].gradient(x)),
@@ -70,6 +88,9 @@ def operators(name):
         ("coeff_tensor_partial", lambda x, y, u: conn.coeff_tensor_partial(x)),
         ("LinearConnection.gamma_xy", lambda x, y, u: conn.gamma_xy(x, y)),
         ("GeneralConnection.gamma_xy", lambda x, y, u: general.gamma_xy(x, y)),
+        ("coeff_tensor fd", lambda x, y, u: conn_fd.coeff_tensor(x)),
+        ("coeff_tensor_partial fd", lambda x, y, u: conn_fd.coeff_tensor_partial(x)),
+        ("GeneralConnection.gamma_xy fd", lambda x, y, u: general_fd.gamma_xy(x, y)),
         ("lift", lambda x, y, u: lift(conn, (x, y), u)),
         ("lift general", lambda x, y, u: lift(general, (x, y), u)),
         ("nabla", lambda x, y, u: nabla(conn, s1, psi, x)),

@@ -225,6 +225,17 @@ class TestTransform:
         calls.clear()
         assert np.array_equal(batch.coeff_tensor(pts), expected)
         assert len(calls) <= singles
+        # Partials visit 2n shifted points per point: 20 points already
+        # overflow the cache if taken entry by entry.
+        few = pts[:20]
+        single = self._round_trip()[1]
+        calls.clear()
+        expected = np.array([single.coeff_tensor_partial(p) for p in few])
+        singles = len(calls)
+        batch = self._round_trip()[1]
+        calls.clear()
+        assert np.array_equal(batch.coeff_tensor_partial(few), expected)
+        assert len(calls) <= singles
 
     def test_inverted_change_inverts_once_per_point(self, monkeypatch):
         dom = CoordDomain.cube(1, -1, 1)
